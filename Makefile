@@ -1,17 +1,17 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short lint fuzz-smoke chaos \
+.PHONY: check vet build test test-short lint fuzz-smoke chaos perfbench \
 	telemetry-smoke trace-smoke concurrent-smoke bench-concurrent \
 	bench-cache bench-multiplex bench-trace bench-placement bench-delta
 
-## check: the tier-1 gate — vet, lint, build, race-enabled tests, fuzz
-## smoke, the concurrent race smoke, the end-to-end telemetry and
-## distributed-tracing smokes, the verified-content-cache acceptance
-## bench, the multiplexed-transport acceptance bench, the tracing-cost
-## ablation, the sharded-fleet replica-selection bench, and the
-## Merkle-delta replication bench.
-check: vet lint build test fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke bench-cache bench-multiplex bench-trace bench-placement bench-delta
+## check: the tier-1 gate — vet, lint, build, race-enabled tests, the
+## benchmark module's vet and tests, fuzz smoke, the concurrent race
+## smoke, the end-to-end telemetry and distributed-tracing smokes, the
+## verified-content-cache acceptance bench, the multiplexed-transport
+## acceptance bench, the tracing-cost ablation, the sharded-fleet
+## replica-selection bench, and the Merkle-delta replication bench.
+check: vet lint build test perfbench fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke bench-cache bench-multiplex bench-trace bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
 ## serving path, run explicitly so a vet default change cannot drop them.
@@ -34,6 +34,14 @@ test:
 
 test-short:
 	$(GO) test -race -short ./...
+
+## perfbench: vet and test the benchmark module. perfbench/ is a Go
+## module of its own (replace globedoc => ../), so the root build and
+## tests never compile it; this catches internal API changes that break
+## it. Offline: dependencies resolve only through the replace.
+perfbench:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./... && \
+		GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
 
 ## fuzz-smoke: a short budget per fuzz target over the wire decoders.
 ## `go test -fuzz` accepts one target per invocation, hence one line each.

@@ -89,7 +89,7 @@ const (
 //   - batch: FetchAll over the v2 transport — the same pipeline plus a
 //     single GetElements exchange carrying all 16 elements;
 //   - serial: FetchAll with DisableBatchFetch and one worker — every
-//     element pays its own sequential round trip, the pre-v2 cost.
+//     element pays its own sequential round trip.
 //
 // The run finishes by checking the batched and serial clients fetched
 // byte-identical content.

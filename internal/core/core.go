@@ -276,10 +276,10 @@ func (p *pipeline) step(name string, field *time.Duration, f func() error) error
 }
 
 // fresh returns a pipeline sharing this one's trace but with zeroed
-// timing — the retry/failover paths report the timing of the attempt
-// that succeeded, not the sum of all attempts. FetchAll's workers use it
-// too: each element's pipeline hangs off the shared root span with its
-// own Timing.
+// timing — a fetch that re-binds or fails over reports the timing of
+// the attempt that succeeded, not the sum of all attempts. FetchAll's
+// workers use it too: each element's pipeline hangs off the shared root
+// span with its own Timing.
 func (p *pipeline) fresh() *pipeline {
 	return &pipeline{tel: p.tel, root: p.root}
 }
@@ -460,11 +460,11 @@ func (p *pipeline) finish(outcome string) {
 	p.root.End()
 }
 
-// finishFetch runs the bind+fetch pipeline below name resolution, closes
-// the root span, and feeds the fetch-latency and security-overhead
+// finishFetch runs the bind+fetch loop below name resolution, closes the
+// root span, and feeds the fetch-latency and security-overhead
 // histograms from the same Timing the caller receives.
 func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, element string) (FetchResult, error) {
-	res, err := c.fetchExcluding(ctx, p, oid, element, nil)
+	res, err := c.fetch(ctx, p, oid, element)
 	if err != nil {
 		p.finish("error")
 		return FetchResult{}, err
@@ -481,18 +481,148 @@ func (c *Client) finishFetch(ctx context.Context, p *pipeline, oid globeid.OID, 
 	return res, nil
 }
 
-// fetchExcluding is the bind+fetch pipeline with a set of replica
-// addresses already caught misbehaving during this operation; they are
-// skipped when re-binding.
-func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (FetchResult, error) {
-	now := c.now()
+// recovery is classify's decision for one failed fetch attempt.
+type recovery int
 
-	// Step 2: consult the verified-binding cache.
-	var vb *verifiedBinding
-	var warm bool
+const (
+	giveUp   recovery = iota // end the fetch with its recorded error
+	rebind                   // drop the binding and bind afresh, excluding nothing
+	failOver                 // exclude the replica and bind to the next candidate
+)
+
+// classify decides what one failed fetch attempt means. Any failure on a
+// warm binding earns a re-bind: a stale pooled connection, a lapsed
+// cached certificate and bytes that certificate no longer vouches for
+// (the replica moved on to a newer version) look alike from here, and a
+// fresh binding re-verifies everything. A freshly verified binding whose
+// replica then fails the transfer or the name and hash checks is
+// abandoned for the next candidate — detection degrades an attack or a
+// stalled replica to a slower fetch, as long as an honest replica
+// remains. A binding failure (every candidate already tried) and a fresh
+// certificate that is already stale (a replica replaying old signed
+// state) end the fetch.
+func classify(err error, warm bool) recovery {
+	switch {
+	case errors.Is(err, ErrBindingFailed):
+		return giveUp
+	case warm:
+		return rebind
+	case errors.Is(err, cert.ErrFreshness):
+		return giveUp
+	}
+	return failOver
+}
+
+// fetch is the one attempt loop behind Fetch and FetchNamed. It owns the
+// set of replicas excluded for this operation and sends every failed
+// attempt through classify. Each retry runs on a fresh pipeline, so the
+// result reports the timing of the attempt that succeeded. Re-binds are
+// bounded by the refresh policy's attempts. A failed binding is dropped,
+// and — except for a warm certificate lapse, whose cached bytes the
+// re-bind may still serve — so is the content it vouched for. A fetch
+// that fails returns its first security error if it met one, counting
+// it in security_check_failures_total{phase} only then, and otherwise
+// its first error; failures that were re-bound are not recorded.
+func (c *Client) fetch(ctx context.Context, p *pipeline, oid globeid.OID, element string) (FetchResult, error) {
+	var (
+		excluded map[string]bool
+		rebinds  int
+		firstErr error
+		firstSec *SecurityError
+	)
+	for attempt := p; ; attempt = p.fresh() {
+		b, res, err := c.fetchAttempt(ctx, attempt, oid, element, excluded)
+		if err == nil {
+			return res, nil
+		}
+		if b.vb != nil {
+			c.dropBinding(oid, b.vb)
+		}
+		if ctx.Err() != nil {
+			// Cancellation is the caller's decision, not a replica fault.
+			return FetchResult{}, err
+		}
+		next := classify(err, b.warm)
+		if next == rebind && rebinds == c.refreshPolicy().Attempts() {
+			next = giveUp
+		}
+		var sec *SecurityError
+		if b.vb != nil {
+			// The binding was obtained, so err came from the element body.
+			errors.As(err, &sec)
+			addr := b.vb.client.Addr()
+			if next == rebind && errors.Is(err, cert.ErrFreshness) {
+				c.countRevalidation(b.vb, element)
+			} else {
+				c.invalidateContent(oid)
+				if next != giveUp {
+					p.tel.Failovers.Inc()
+					if sec != nil {
+						// Detected tampering passed the transport's health
+						// sampling as successful RPCs: record it so the
+						// selector stops preferring this replica.
+						p.tel.Health.RecordFailure(addr)
+					}
+				}
+			}
+			if next == failOver {
+				if excluded == nil {
+					excluded = make(map[string]bool)
+				}
+				excluded[addr] = true
+			}
+		}
+		if next == rebind {
+			rebinds++
+			continue
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		if firstSec == nil {
+			firstSec = sec
+		}
+		if next == giveUp {
+			if firstSec != nil {
+				p.tel.SecurityCheckFailures.With(firstSec.Phase).Inc()
+				return FetchResult{}, firstSec
+			}
+			return FetchResult{}, firstErr
+		}
+	}
+}
+
+// bound is one operation's hold on a verified binding: the binding, and
+// whether it came warm from the cache or was shared with a concurrent
+// establishment.
+type bound struct {
+	vb           *verifiedBinding
+	warm, shared bool
+}
+
+// result builds the FetchResult for elem served over b.
+func (b bound) result(elem document.Element, t Timing, fromCache bool) FetchResult {
+	return FetchResult{
+		Element:       elem,
+		CertifiedAs:   b.vb.certifiedAs,
+		ReplicaAddr:   b.vb.client.Addr(),
+		Timing:        t,
+		WarmBinding:   b.warm,
+		SharedBinding: b.shared,
+		FromCache:     fromCache,
+	}
+}
+
+// fetchAttempt is one pass of the fetch loop: consult the verified-binding
+// cache (step 2), establish a binding on a miss while skipping the
+// excluded replicas, and run the per-element body. The returned binding
+// is the zero value when none was obtained.
+func (c *Client) fetchAttempt(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (bound, FetchResult, error) {
+	now := c.now()
+	var b bound
 	cacheSp := p.root.StartChild(StepBindingCache)
-	vb, warm = c.cachedBinding(oid, now)
-	if warm {
+	b.vb, b.warm = c.cachedBinding(oid, now)
+	if b.warm {
 		cacheSp.Annotate("outcome", "hit")
 	} else {
 		cacheSp.Annotate("outcome", "miss")
@@ -502,176 +632,83 @@ func (c *Client) fetchExcluding(ctx context.Context, p *pipeline, oid globeid.OI
 	}
 	cacheSp.End()
 	if c.cacheBindings {
-		if warm {
+		if b.warm {
 			p.tel.BindingCacheHits.Inc()
 		} else {
 			p.tel.BindingCacheMisses.Inc()
 		}
 	}
-
-	shared := false
-	if !warm {
-		var err error
-		vb, shared, err = c.establishBinding(ctx, p, oid, now, excluded)
+	if !b.warm {
+		vb, shared, err := c.establishBinding(ctx, p, oid, now, excluded)
 		if err != nil {
-			return FetchResult{}, err
+			return bound{}, FetchResult{}, err
 		}
+		b.vb, b.shared = vb, shared
 	}
-	// An operation owns (and must close) its binding only when nothing
-	// else can reach it: cold, not shared with a concurrent fetch, and
-	// not parked in the cache.
-	owned := !warm && !shared && !c.cacheBindings
+	res, err := c.fetchElement(ctx, p, b, element, now, prefetch{})
+	if err != nil {
+		return b, FetchResult{}, err
+	}
+	if !b.warm && !b.shared && !c.cacheBindings {
+		// Nothing else can reach this binding: not cached, not shared.
+		b.vb.client.Close()
+	}
+	return b, res, nil
+}
 
-	// Verified-content cache consult (Options.VCache). The verified
-	// certificate in hand names the element's hash and validity interval,
-	// so freshness is decided before any bytes move:
-	//   - fresh entry, bytes cached  -> serve from cache, no transfer;
-	//   - fresh entry, bytes missing -> normal fetch, then insert;
-	//   - lapsed entry, warm binding -> certificate-only revalidation
-	//     (re-bind fetches a fresh certificate; the recursion serves the
-	//     still-cached bytes if the new certificate lists their hash);
-	//   - lapsed entry, cold binding -> the replica handed over a
-	//     certificate that is already stale: replayed old signed state,
-	//     rejected as a freshness security failure.
+// fetchElement is the per-element body Fetch and FetchAll share. The
+// verified certificate in hand names the element's hash and validity
+// interval, so the verified-content cache (Options.VCache) is consulted
+// before any bytes move: a fresh entry with cached bytes is served as
+// is; otherwise the bytes come from FetchAll's batch prefetch or from
+// the replica (step 11), pass the consistency, authenticity and
+// freshness checks (steps 12–14), and are cached. An entry whose
+// validity lapsed fails freshness before any transfer — the fetch loop
+// re-binds a warm binding to revalidate by certificate only, while a
+// freshly fetched certificate that is already stale is replayed state.
+// Failed checks are returned as an uncounted *SecurityError; the caller
+// counts the one it returns.
+func (c *Client) fetchElement(ctx context.Context, p *pipeline, b bound, element string, now time.Time, batch prefetch) (FetchResult, error) {
 	var vcEntry cert.ElementEntry
 	vcFresh := false
 	if c.vcache != nil {
-		if entry, cerr := vb.icert.CheckConsistency(element); cerr == nil {
-			if ferr := entry.CheckFreshness(now); ferr == nil {
-				vcEntry, vcFresh = entry, true
-				if cached, hit := c.vcacheGet(p, entry, now); hit {
-					res := FetchResult{
-						Element:       document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data},
-						CertifiedAs:   vb.certifiedAs,
-						ReplicaAddr:   vb.client.Addr(),
-						Timing:        p.timing,
-						WarmBinding:   warm,
-						SharedBinding: shared,
-						FromCache:     true,
-					}
-					if owned {
-						vb.client.Close()
-					}
-					return res, nil
-				}
-			} else if warm {
-				// The cached certificate's interval lapsed. Revalidate by
-				// re-binding — which moves only a fresh certificate — and
-				// count it when the bytes themselves are still cached, so
-				// vcache_revalidations_total measures transfers avoided.
-				if c.vcache.Contains(entry.Hash) {
-					p.tel.VCacheRevalidations.Inc()
-				}
-				c.dropBinding(oid, vb)
-				return c.refetchFresh(ctx, p, oid, element, excluded)
-			} else {
-				c.dropBinding(oid, vb)
-				c.invalidateContent(oid)
-				return FetchResult{}, c.secErr("freshness", ferr)
+		if entry, cerr := b.vb.icert.CheckConsistency(element); cerr == nil {
+			if ferr := entry.CheckFreshness(now); ferr != nil {
+				return FetchResult{}, &SecurityError{Phase: "freshness", Err: ferr}
+			}
+			vcEntry, vcFresh = entry, true
+			if cached, hit := c.vcacheGet(p, entry, now); hit {
+				return b.result(document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data}, p.timing, true), nil
 			}
 		}
 	}
-
-	// Step 11: retrieve the page element from the (untrusted) replica.
 	var elem document.Element
-	err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
-		var ferr error
-		elem, ferr = vb.client.GetElement(ctx, element)
-		return ferr
-	})
-	if err != nil {
-		// A replica that times out, resets, or otherwise fails mid-fetch
-		// is handled exactly like a detected attack: abandon it and move
-		// to the next candidate. A stalled replica thereby degrades a
-		// fetch to the next-nearest honest one instead of hanging the
-		// pipeline. Warm bindings get one clean re-bind first (the
-		// pooled connection may simply be stale); cold ones blacklist
-		// the address for this operation. Cancellation is the caller's
-		// decision, not a replica fault: no failover then.
-		addr := vb.client.Addr()
-		c.dropBinding(oid, vb)
-		if ctx.Err() != nil {
+	if pre, ok := batch.elems[element]; ok {
+		// Served from the batch exchange: credit this element's amortized
+		// slice of the batch duration to ElementFetch so the Figure-4
+		// phase accounting still describes where the time went.
+		sp := p.root.StartChild(StepElementFetch)
+		sp.Annotate("source", "batch")
+		sp.End()
+		p.timing.ElementFetch += batch.share
+		elem = pre
+	} else {
+		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
+			var ferr error
+			elem, ferr = b.vb.client.GetElement(ctx, element)
+			return ferr
+		})
+		if err != nil {
 			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
 		}
-		c.invalidateContent(oid)
-		p.tel.Failovers.Inc()
-		next := excluded
-		if !warm {
-			next = make(map[string]bool, len(excluded)+1)
-			for a := range excluded {
-				next[a] = true
-			}
-			next[addr] = true
-		}
-		res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, next)
-		if retryErr == nil {
-			return res, nil
-		}
-		return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
 	}
-
-	// Steps 12–14: consistency, authenticity, freshness (paper §3.2.2).
-	err = c.verifyElement(p, vb, element, elem.Data, now)
-	if err != nil {
-		if warm && errors.Is(err, cert.ErrFreshness) {
-			// The cached certificate may simply have expired; re-bind
-			// through the retry policy and retry with a fresh
-			// certificate. A freshly fetched certificate that is
-			// *still* stale is a security failure (a replica replaying
-			// old signed state), marked permanent so the policy stops
-			// instead of hammering the replica.
-			c.dropBinding(oid, vb)
-			return c.refetchFresh(ctx, p, oid, element, excluded)
-		}
-		if !warm && (errors.Is(err, cert.ErrAuthenticity) || errors.Is(err, cert.ErrConsistency)) {
-			// The replica served bogus content despite genuine
-			// credentials: blacklist it for this operation and try the
-			// next candidate. Detection thereby degrades an attack to a
-			// slower fetch instead of a failure, as long as any honest
-			// replica remains.
-			addr := vb.client.Addr()
-			c.dropBinding(oid, vb)
-			c.invalidateContent(oid)
-			p.tel.Failovers.Inc()
-			// Tampering is detected above the transport layer, whose
-			// health sampling saw only successful RPCs — record the
-			// detected attack as failure evidence so the selector stops
-			// preferring this replica on future establishments.
-			p.tel.Health.RecordFailure(addr)
-			next := make(map[string]bool, len(excluded)+1)
-			for a := range excluded {
-				next[a] = true
-			}
-			next[addr] = true
-			res, retryErr := c.fetchExcluding(ctx, p.fresh(), oid, element, next)
-			if retryErr == nil {
-				return res, nil
-			}
-			return FetchResult{}, c.secErr("element", err)
-		}
-		// Any other element-verification failure: the binding failed a
-		// security check, so neither keep it cached nor leak its
-		// connection (the historical code lost cold uncached conns here).
-		c.dropBinding(oid, vb)
-		c.invalidateContent(oid)
-		return FetchResult{}, c.secErr("element", err)
+	if err := c.verifyElement(p, b.vb, element, elem.Data, now); err != nil {
+		return FetchResult{}, &SecurityError{Phase: "element", Err: err}
 	}
-	if c.vcache != nil && vcFresh {
-		c.vcache.Put(oid, vcEntry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, vcEntry.Expires)
+	if vcFresh {
+		c.vcache.Put(b.vb.icert.ObjectID, vcEntry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, vcEntry.Expires)
 	}
-
-	res := FetchResult{
-		Element:       elem,
-		CertifiedAs:   vb.certifiedAs,
-		ReplicaAddr:   vb.client.Addr(),
-		Timing:        p.timing,
-		WarmBinding:   warm,
-		SharedBinding: shared,
-	}
-	if owned {
-		vb.client.Close()
-	}
-	return res, nil
+	return b.result(elem, p.timing, false), nil
 }
 
 // vcacheGet consults the verified-content cache for an entry the caller
@@ -695,28 +732,16 @@ func (c *Client) vcacheGet(p *pipeline, entry cert.ElementEntry, now time.Time) 
 	return cached, hit
 }
 
-// refetchFresh re-runs the fetch through the certificate-refresh retry
-// policy after a freshness lapse on a warm binding. A security failure
-// inside the retried fetch — including a freshly fetched certificate
-// that is *still* stale (a replica replaying old signed state) — is
-// marked permanent so the policy stops instead of hammering the replica.
-func (c *Client) refetchFresh(ctx context.Context, p *pipeline, oid globeid.OID, element string, excluded map[string]bool) (FetchResult, error) {
-	var res FetchResult
-	doErr := c.refreshPolicy().Do(func() error {
-		r, ferr := c.fetchExcluding(ctx, p.fresh(), oid, element, excluded)
-		if ferr != nil {
-			if errors.Is(ferr, ErrSecurityCheckFailed) {
-				return transport.Permanent(ferr)
-			}
-			return ferr
-		}
-		res = r
-		return nil
-	})
-	if doErr != nil {
-		return FetchResult{}, doErr
+// countRevalidation counts a warm certificate lapse that is about to be
+// revalidated by re-binding while the element's bytes are still cached,
+// so vcache_revalidations_total measures transfers avoided.
+func (c *Client) countRevalidation(vb *verifiedBinding, element string) {
+	if c.vcache == nil {
+		return
 	}
-	return res, nil
+	if entry, err := vb.icert.CheckConsistency(element); err == nil && c.vcache.Contains(entry.Hash) {
+		c.tel().VCacheRevalidations.Inc()
+	}
 }
 
 // verifyElement runs the three per-element checks as separate pipeline
@@ -905,9 +930,8 @@ func (c *Client) verifyReplica(ctx context.Context, p *pipeline, oid globeid.OID
 	}, nil
 }
 
-// refreshPolicy returns the certificate-refresh retry policy: the
-// configured one, or a two-attempt no-delay policy reproducing the
-// historical "refresh once" behaviour.
+// refreshPolicy returns the policy whose attempt count bounds a fetch's
+// re-binds: the configured one, or a two-attempt default.
 func (c *Client) refreshPolicy() *transport.RetryPolicy {
 	if c.retry != nil {
 		return c.retry
@@ -1066,24 +1090,23 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 	// Bind once (cold, shared or cached), then fan element fetches out
 	// over a bounded worker pool sharing the verified binding. Each
 	// element runs its own fresh pipeline under the fetch.all root span,
-	// so per-element spans and Timing stay attributable.
+	// so per-element spans and Timing stay attributable. There is no
+	// per-element re-bind or failover here: the first failure ends the
+	// operation.
 	now := c.now()
-	vb, warm := c.cachedBinding(oid, now)
-	shared := false
-	if !warm {
-		var err error
-		vb, shared, err = c.establishBinding(ctx, p, oid, now, nil)
+	var b bound
+	b.vb, b.warm = c.cachedBinding(oid, now)
+	if !b.warm {
+		vb, shared, err := c.establishBinding(ctx, p, oid, now, nil)
 		if err != nil {
 			return nil, err
 		}
+		b.vb, b.shared = vb, shared
 	}
-	owned := !warm && !shared && !c.cacheBindings
-	if owned {
-		// Close on every exit: the historical code leaked the conn when
-		// an element failed mid-loop (and never covered the warm path).
-		defer vb.client.Close()
+	if !b.warm && !b.shared && !c.cacheBindings {
+		defer b.vb.client.Close()
 	}
-	entries := vb.icert.Entries
+	entries := b.vb.icert.Entries
 	if len(entries) == 0 {
 		return nil, nil
 	}
@@ -1092,7 +1115,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 	// verified-content cache cannot already serve; workers then verify
 	// from the prefetched bytes and fall back to individual fetches for
 	// anything the batch could not carry.
-	prefetched, batchShare := c.batchPrefetch(ctx, p, vb, entries, now)
+	batch := c.batchPrefetch(ctx, p, b.vb, entries, now)
 
 	workers := c.fetchWorkers
 	if workers > len(entries) {
@@ -1119,7 +1142,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 				if i >= len(entries) || gctx.Err() != nil {
 					return
 				}
-				res, err := c.fetchVia(gctx, p.fresh(), vb, entries[i].Name, now, warm, shared, prefetched, batchShare)
+				res, err := c.fetchElement(gctx, p.fresh(), b, entries[i].Name, now, batch)
 				out[i] = slot{res: res, err: err, done: true}
 				if err != nil {
 					failOnce.Do(func() {
@@ -1144,26 +1167,36 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 		// Whatever failed — dead replica or failed check — the binding
 		// is suspect: neither keep it cached, nor leak its connection,
 		// nor serve content it vouched for from the cache.
-		c.dropBinding(oid, vb)
+		c.dropBinding(oid, b.vb)
 		c.invalidateContent(oid)
+		var sec *SecurityError
+		if errors.As(firstErr, &sec) {
+			p.tel.SecurityCheckFailures.With(sec.Phase).Inc()
+		}
 		return results, firstErr
 	}
 	return results, nil
 }
 
+// prefetch is FetchAll's batched GetElements result: the still
+// unverified bytes it carried, by element name, and each element's
+// amortized share of the exchange's duration.
+type prefetch struct {
+	elems map[string]document.Element
+	share time.Duration
+}
+
 // batchPrefetch retrieves the elements the verified-content cache cannot
-// serve in one GetElements exchange over the shared binding, returning
-// the successfully carried elements keyed by name plus the per-element
-// amortized share of the exchange's duration. Every failure mode — a v1
-// server without the batch operation, a transport fault, or per-item
-// declines — degrades to nil/partial prefill; the workers' individual
-// fetches then carry their own error handling, so batching never changes
-// failure semantics, only round trips. The prefetched bytes are NOT
-// trusted: each element still runs the full verification steps with the
-// same phase attribution as a serial fetch.
-func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry, now time.Time) (map[string]document.Element, time.Duration) {
+// serve in one GetElements exchange over the shared binding. Every
+// failure mode — a transport fault or per-item declines — degrades to an
+// empty or partial prefetch; the workers' individual fetches then carry
+// their own error handling, so batching never changes failure
+// semantics, only round trips. The prefetched bytes are NOT trusted:
+// each element still runs the full verification steps with the same
+// phase attribution as a serial fetch.
+func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBinding, entries []cert.ElementEntry, now time.Time) prefetch {
 	if c.noBatchFetch || len(entries) < 2 {
-		return nil, 0
+		return prefetch{}
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -1173,7 +1206,7 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 		names = append(names, e.Name)
 	}
 	if len(names) < 2 {
-		return nil, 0
+		return prefetch{}
 	}
 	sp := p.root.StartChild(StepBatchFetch)
 	sp.Annotate("elements", strconv.Itoa(len(names)))
@@ -1181,7 +1214,7 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		sp.End()
-		return nil, 0
+		return prefetch{}
 	}
 	sp.End()
 	got := make(map[string]document.Element, len(items))
@@ -1193,67 +1226,7 @@ func (c *Client) batchPrefetch(ctx context.Context, p *pipeline, vb *verifiedBin
 	c.tel().BatchFetches.Inc()
 	c.tel().BatchElements.Add(uint64(len(got)))
 	if len(got) == 0 {
-		return nil, 0
+		return prefetch{}
 	}
-	return got, sp.Duration() / time.Duration(len(got))
-}
-
-func (c *Client) fetchVia(ctx context.Context, p *pipeline, vb *verifiedBinding, element string, now time.Time, warm, shared bool, prefetched map[string]document.Element, batchShare time.Duration) (FetchResult, error) {
-	// The verified-content cache serves FetchAll workers too; a
-	// whole-document download re-transfers only the elements whose bytes
-	// are not already held under the current certificate. Lapsed entries
-	// are left to the normal post-fetch freshness check — FetchAll's
-	// caller handles the failure, there is no per-element re-bind here.
-	var vcEntry cert.ElementEntry
-	vcFresh := false
-	if c.vcache != nil {
-		if entry, cerr := vb.icert.CheckConsistency(element); cerr == nil && entry.CheckFreshness(now) == nil {
-			vcEntry, vcFresh = entry, true
-			if cached, hit := c.vcacheGet(p, entry, now); hit {
-				return FetchResult{
-					Element:       document.Element{Name: element, ContentType: cached.ContentType, Data: cached.Data},
-					CertifiedAs:   vb.certifiedAs,
-					ReplicaAddr:   vb.client.Addr(),
-					Timing:        p.timing,
-					WarmBinding:   warm,
-					SharedBinding: shared,
-					FromCache:     true,
-				}, nil
-			}
-		}
-	}
-	var elem document.Element
-	if pre, ok := prefetched[element]; ok {
-		// Served from the batch exchange: credit this element's amortized
-		// slice of the batch duration to ElementFetch so the Figure-4
-		// phase accounting still describes where the time went.
-		sp := p.root.StartChild(StepElementFetch)
-		sp.Annotate("source", "batch")
-		sp.End()
-		p.timing.ElementFetch += batchShare
-		elem = pre
-	} else {
-		err := p.step(StepElementFetch, &p.timing.ElementFetch, func() error {
-			var ferr error
-			elem, ferr = vb.client.GetElement(ctx, element)
-			return ferr
-		})
-		if err != nil {
-			return FetchResult{}, fmt.Errorf("core: fetching element %q: %w", element, err)
-		}
-	}
-	if err := c.verifyElement(p, vb, element, elem.Data, now); err != nil {
-		return FetchResult{}, c.secErr("element", err)
-	}
-	if c.vcache != nil && vcFresh {
-		c.vcache.Put(vb.icert.ObjectID, vcEntry.Hash, vcache.Element{ContentType: elem.ContentType, Data: elem.Data}, vcEntry.Expires)
-	}
-	return FetchResult{
-		Element:       elem,
-		CertifiedAs:   vb.certifiedAs,
-		ReplicaAddr:   vb.client.Addr(),
-		Timing:        p.timing,
-		WarmBinding:   warm,
-		SharedBinding: shared,
-	}, nil
+	return prefetch{elems: got, share: sp.Duration() / time.Duration(len(got))}
 }

@@ -46,10 +46,11 @@ type Options struct {
 	// Singleflight deduplication of binding establishment requires it
 	// (a shared pipeline run is only useful if its result is shareable).
 	CacheBindings bool
-	// Retry governs how often an expired cached certificate is
-	// refreshed before giving up (the re-bind after a freshness failure
-	// on a warm binding). Nil means one refresh attempt, the historical
-	// behaviour.
+	// Retry bounds the re-binds one fetch makes after failures on a
+	// warm (cached) binding — an expired certificate, a stale
+	// connection, or bytes the cached certificate does not vouch for:
+	// at most Retry.Attempts() of them. Only the attempt count is used.
+	// Nil means two.
 	Retry *transport.RetryPolicy
 	// Telemetry receives the pipeline spans, cache/failover counters and
 	// latency histograms; nil falls back to telemetry.Default().

@@ -370,10 +370,9 @@ func TestChaosStalledStreamNoHeadOfLineBlocking(t *testing.T) {
 	// The multiplexed-transport chaos scenario: a replica handler that
 	// stalls indefinitely on one request while sibling requests keep
 	// arriving on the SAME connection (MaxConns=1 forces total sharing).
-	// Under v1 one-call-per-conn semantics the siblings would queue
-	// behind the stalled call until its slot freed; under v2 they must
-	// complete promptly on interleaved streams across the simulated
-	// transatlantic link, and the stalled stream must still complete
+	// The siblings must complete promptly on interleaved streams across
+	// the simulated transatlantic link instead of queueing behind the
+	// stalled call, and the stalled stream must still complete
 	// once the replica recovers. Runs under -race via make test.
 	n := netsim.PaperTestbed(0)
 	t.Cleanup(n.Close)
@@ -450,14 +449,7 @@ func TestChaosSameSeedReproducesFaultSchedule(t *testing.T) {
 		t.Skip("determinism replay skipped in -short mode")
 	}
 	run := func(seed int64) string {
-		// Pinned to wire-protocol v1: this test replays a byte-exact
-		// fault schedule, and v2's negotiation preamble and frame
-		// headers shift which bytes each seeded fault lands on. The
-		// multiplexed path gets its own chaos coverage elsewhere in
-		// this suite.
-		cfg := chaosConfig()
-		cfg.Version = transport.V1
-		w, _, _ := chaosWorldCfg(t, seed, cfg)
+		w, _, _ := chaosWorldCfg(t, seed, chaosConfig())
 		trace := w.Net.TraceFaults()
 		w.Net.SetFaults(netsim.Paris, netsim.Paris, netsim.FaultPlan{DropProb: 0.3, CorruptProb: 0.2})
 		client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{CacheBindings: true})

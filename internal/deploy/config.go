@@ -19,13 +19,11 @@ import (
 // copy-pasted per main().
 
 // ClientFlags is the standard transport-robustness flag bundle:
-// dial/call timeouts, the per-RPC retry budget, and the wire-protocol
-// version pin.
+// dial/call timeouts and the per-RPC retry budget.
 type ClientFlags struct {
 	DialTimeout time.Duration
 	CallTimeout time.Duration
 	Retries     int
-	Version     int
 }
 
 // RegisterClientFlags registers the shared transport flags on fs (nil =
@@ -42,8 +40,6 @@ func RegisterClientFlags(fs *flag.FlagSet) *ClientFlags {
 		"per-RPC deadline, send through receive (0 = unbounded)")
 	fs.IntVar(&f.Retries, "retries", 3,
 		"attempts per RPC against a flaky replica (1 = no retry)")
-	fs.IntVar(&f.Version, "transport-version", 0,
-		"pin the wire protocol version: 0 = negotiate (prefer v2), 1 = classic v1 framing, 2 = require multiplexed v2")
 	return f
 }
 
@@ -53,7 +49,6 @@ func (f *ClientFlags) Config(tel *telemetry.Telemetry) transport.Config {
 		DialTimeout: f.DialTimeout,
 		CallTimeout: f.CallTimeout,
 		Telemetry:   tel,
-		Version:     byte(f.Version),
 	}
 	if f.Retries > 1 {
 		policy := transport.DefaultRetryPolicy()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync/atomic"
 
 	"globedoc/internal/enc"
 	"globedoc/internal/globeid"
@@ -12,23 +11,15 @@ import (
 	"globedoc/internal/transport"
 )
 
-// Wire operation names of the location service.
-//
-// OpLookup2 is the extended lookup introduced in PR 8: same request body
-// as OpLookup, but the response carries per-address metadata (zone label,
-// advertised weight). The v1 encodings are frozen — enc.Reader.Finish
-// rejects trailing bytes, so appending fields to an existing operation
-// would break BOTH old-decodes-new and new-decodes-old. A new client
-// probes OpLookup2 and, on the peer's "unknown operation" refusal,
-// latches a permanent fallback to OpLookup (metadata-less results); an
-// old client never sends OpLookup2 and sees byte-identical OpLookup
-// responses.
+// Wire operation names of the location service. Inserts and deletes
+// name an endpoint (ContactAddress.Marshal); OpLookup and OpAll answer
+// with one lookup-result encoding whose addresses carry their zone and
+// weight metadata (ContactAddress.MarshalExt).
 const (
-	OpInsert  = "loc.insert"
-	OpDelete  = "loc.delete"
-	OpLookup  = "loc.lookup"
-	OpLookup2 = "loc.lookup2"
-	OpAll     = "loc.all"
+	OpInsert = "loc.insert"
+	OpDelete = "loc.delete"
+	OpLookup = "loc.lookup"
+	OpAll    = "loc.all"
 )
 
 // Resolver is the client-side view of the location service: anything that
@@ -57,7 +48,6 @@ func NewService(tree *Tree) *Service {
 	s.srv.Handle(OpInsert, s.handleInsert)
 	s.srv.Handle(OpDelete, s.handleDelete)
 	s.srv.Handle(OpLookup, s.handleLookup)
-	s.srv.Handle(OpLookup2, s.handleLookup2)
 	s.srv.Handle(OpAll, s.handleAll)
 	return s
 }
@@ -115,36 +105,9 @@ func (s *Service) handleDelete(body []byte) ([]byte, error) {
 	return nil, s.tree.Delete(site, oid, addr)
 }
 
+// encodeLookupResult is the OpLookup and OpAll response body: the ring
+// count, then each address with its metadata.
 func encodeLookupResult(res LookupResult) []byte {
-	w := enc.NewWriter(64)
-	w.Uvarint(uint64(res.Rings))
-	w.Uvarint(uint64(len(res.Addresses)))
-	for _, a := range res.Addresses {
-		a.Marshal(w)
-	}
-	return w.Bytes()
-}
-
-func decodeLookupResult(body []byte) (LookupResult, error) {
-	r := enc.NewReader(body)
-	var res LookupResult
-	res.Rings = int(r.Uvarint())
-	n := r.Uvarint()
-	if n > 1<<16 {
-		return LookupResult{}, fmt.Errorf("location: implausible address count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		res.Addresses = append(res.Addresses, UnmarshalContactAddress(r))
-	}
-	if err := r.Finish(); err != nil {
-		return LookupResult{}, err
-	}
-	return res, nil
-}
-
-// encodeLookupResultExt is the OpLookup2 response body: the same shape
-// as the v1 encoding with per-address metadata appended to each entry.
-func encodeLookupResultExt(res LookupResult) []byte {
 	w := enc.NewWriter(64)
 	w.Uvarint(uint64(res.Rings))
 	w.Uvarint(uint64(len(res.Addresses)))
@@ -154,7 +117,7 @@ func encodeLookupResultExt(res LookupResult) []byte {
 	return w.Bytes()
 }
 
-func decodeLookupResultExt(body []byte) (LookupResult, error) {
+func decodeLookupResult(body []byte) (LookupResult, error) {
 	r := enc.NewReader(body)
 	var res LookupResult
 	res.Rings = int(r.Uvarint())
@@ -171,32 +134,20 @@ func decodeLookupResultExt(body []byte) (LookupResult, error) {
 	return res, nil
 }
 
-func (s *Service) lookup(body []byte) (LookupResult, error) {
+func (s *Service) handleLookup(body []byte) ([]byte, error) {
 	r := enc.NewReader(body)
 	site := r.String()
 	var oid globeid.OID
 	copy(oid[:], r.Raw(globeid.Size))
 	if err := r.Finish(); err != nil {
-		return LookupResult{}, err
+		return nil, err
 	}
 	//lint:ignore ctxfirst the transport handler boundary carries no request context; per-request cancellation would need a wire protocol change
-	return s.tree.Lookup(context.Background(), site, oid)
-}
-
-func (s *Service) handleLookup(body []byte) ([]byte, error) {
-	res, err := s.lookup(body)
+	res, err := s.tree.Lookup(context.Background(), site, oid)
 	if err != nil {
 		return nil, err
 	}
 	return encodeLookupResult(res), nil
-}
-
-func (s *Service) handleLookup2(body []byte) ([]byte, error) {
-	res, err := s.lookup(body)
-	if err != nil {
-		return nil, err
-	}
-	return encodeLookupResultExt(res), nil
 }
 
 func (s *Service) handleAll(body []byte) ([]byte, error) {
@@ -212,12 +163,6 @@ func (s *Service) handleAll(body []byte) ([]byte, error) {
 // Client is a typed client for a remote location service.
 type Client struct {
 	c *transport.Client
-	// lookup2Unsupported latches after the peer refuses OpLookup2 with an
-	// unknown-operation error: the service predates per-address metadata,
-	// so every further Lookup goes straight to the v1 operation. One
-	// wasted round trip per client lifetime, mirroring the transport's
-	// version-negotiation fallback.
-	lookup2Unsupported atomic.Bool
 }
 
 // NewClient returns a client that dials the service with dial.
@@ -251,26 +196,13 @@ func (c *Client) Delete(ctx context.Context, site string, oid globeid.OID, addr 
 	return err
 }
 
-// Lookup finds contact addresses for oid, nearest-first from fromSite.
-// It prefers the metadata-carrying OpLookup2 and falls back permanently
-// to OpLookup against a service that does not implement it; results from
-// such a service simply carry no zone/weight metadata.
+// Lookup finds contact addresses for oid, nearest-first from fromSite,
+// with their zone and weight metadata.
 func (c *Client) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (LookupResult, error) {
 	w := enc.NewWriter(64)
 	w.String(fromSite)
 	w.Raw(oid[:])
-	req := w.Bytes()
-	if !c.lookup2Unsupported.Load() {
-		body, err := c.c.Call(ctx, OpLookup2, req)
-		if err == nil {
-			return decodeLookupResultExt(body)
-		}
-		if !transport.IsUnknownOp(err) {
-			return LookupResult{}, err
-		}
-		c.lookup2Unsupported.Store(true)
-	}
-	body, err := c.c.Call(ctx, OpLookup, req)
+	body, err := c.c.Call(ctx, OpLookup, w.Bytes())
 	if err != nil {
 		return LookupResult{}, err
 	}

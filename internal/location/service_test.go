@@ -85,3 +85,46 @@ func TestClientImplementsResolver(t *testing.T) {
 	var _ location.Resolver = (*location.Client)(nil)
 	var _ location.Resolver = (*location.Tree)(nil)
 }
+
+func TestLookupCarriesZoneAndWeight(t *testing.T) {
+	// One lookup operation carries the selector's metadata: the zone the
+	// tree filled in for an endpoint-only insert, and a weight recorded
+	// tree-side, both survive the loc.lookup and loc.all round trips.
+	n := netsim.PaperTestbed(0)
+	defer n.Close()
+	client, tree := startLocationService(t, n, netsim.Paris)
+
+	oid := testOID(13)
+	if err := client.Insert(context.Background(), "ithaca", oid, addr("ithaca:objsrv")); err != nil {
+		t.Fatal(err)
+	}
+	weighted := location.ContactAddress{Address: "amsterdam-primary:objsrv", Protocol: "globedoc", Weight: 7}
+	if err := tree.Insert("amsterdam-primary", oid, weighted); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]location.ContactAddress{
+		"ithaca:objsrv":            {Address: "ithaca:objsrv", Protocol: "globedoc", Zone: "northamerica"},
+		"amsterdam-primary:objsrv": {Address: "amsterdam-primary:objsrv", Protocol: "globedoc", Zone: "europe", Weight: 7},
+	}
+	res, err := client.Lookup(context.Background(), "paris", oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Addresses) == 0 {
+		t.Fatal("loc.lookup returned no addresses")
+	}
+	all, err := client.All(context.Background(), oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(want) {
+		t.Fatalf("loc.all returned %+v, want %d addresses", all, len(want))
+	}
+	for op, got := range map[string][]location.ContactAddress{"loc.lookup": res.Addresses, "loc.all": all} {
+		for _, a := range got {
+			if a != want[a.Address] {
+				t.Errorf("%s: %+v, want %+v", op, a, want[a.Address])
+			}
+		}
+	}
+}

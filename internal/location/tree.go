@@ -52,7 +52,7 @@ type ContactAddress struct {
 	Protocol string
 	// Zone labels the address's coarse network locality (the top-level
 	// region of the site the address is recorded at, e.g. "europe").
-	// Empty when unknown — pre-PR-8 services never report one.
+	// Empty when unknown.
 	Zone string
 	// Weight is the advertised capacity preference among otherwise
 	// equivalent replicas; higher is preferred. Zero means unspecified.
@@ -65,22 +65,21 @@ func (a ContactAddress) SameEndpoint(b ContactAddress) bool {
 	return a.Address == b.Address && a.Protocol == b.Protocol
 }
 
-// Marshal appends the address to w in the v1 wire form: endpoint only,
-// no metadata. This layout is FROZEN — pre-PR-8 decoders reject trailing
-// bytes (enc.Reader.Finish), so the extended form must travel on new wire
-// operations (OpLookup2), never by appending here.
+// Marshal appends the address to w in its endpoint-only wire form, the
+// one inserts and deletes carry: the location tree fills in the zone
+// itself, and the endpoint is the record's identity.
 func (a ContactAddress) Marshal(w *enc.Writer) {
 	w.String(a.Address)
 	w.String(a.Protocol)
 }
 
-// UnmarshalContactAddress reads a v1 (endpoint-only) address from r.
+// UnmarshalContactAddress reads an endpoint-only address from r.
 func UnmarshalContactAddress(r *enc.Reader) ContactAddress {
 	return ContactAddress{Address: r.String(), Protocol: r.String()}
 }
 
-// MarshalExt appends the address with its metadata — the extended form
-// carried by the v2 lookup operation.
+// MarshalExt appends the address with its metadata — the form lookup
+// results carry.
 func (a ContactAddress) MarshalExt(w *enc.Writer) {
 	w.String(a.Address)
 	w.String(a.Protocol)

@@ -42,9 +42,8 @@ const (
 	OpGetElement   = "obj.getelement"
 	// OpGetElements returns many elements in one exchange — the batched
 	// fetch that lets a cold document ride one round trip over a
-	// multiplexed transport-v2 connection. Servers that predate it
-	// answer "unknown operation" and clients fall back to per-element
-	// calls.
+	// multiplexed connection. Elements it cannot carry are fetched by
+	// per-element calls.
 	OpGetElements  = "obj.getelements"
 	OpListElements = "obj.list"
 	OpVersion      = "obj.version"

@@ -36,10 +36,9 @@ func (s *Server) handleGetBundle(body []byte) ([]byte, error) {
 // replica for its state version and, when the local copy is stale,
 // transfers and validates the new state. Transfers prefer the
 // Merkle-delta path (obj.getdelta, DESIGN.md §16), which moves only the
-// elements whose cert-listed hash changed; any delta failure — decode
-// error, broken chain, decline, or validation rejection — falls back to
-// the full obj.getbundle transfer, and a primary that predates the delta
-// op latches the fallback permanently (the lookup2Unsupported pattern).
+// elements whose cert-listed hash changed; any delta failure — remote
+// error, decode error, broken chain, decline, or validation rejection —
+// falls back to the full obj.getbundle transfer.
 // Combined with the owner's certificate re-issuing this yields the
 // "cache with TTL refresh" strategies of internal/replication at runtime.
 type Puller struct {
@@ -59,11 +58,6 @@ type Puller struct {
 	checks   atomic.Uint64
 	pulls    atomic.Uint64
 	failures atomic.Uint64
-
-	// deltaUnsupported latches after the primary refuses obj.getdelta as
-	// an unknown operation, so a fleet of old primaries costs one failed
-	// probe per puller, not one per check.
-	deltaUnsupported atomic.Bool
 
 	fullPulls      atomic.Uint64
 	deltaPulls     atomic.Uint64
@@ -146,21 +140,15 @@ func (p *Puller) CheckOnce(ctx context.Context) (bool, error) {
 	if have >= remoteVersion {
 		return false, nil
 	}
-	if !p.DisableDelta && !p.deltaUnsupported.Load() {
+	if !p.DisableDelta {
 		pulled, derr := p.pullDelta(ctx, h, have)
 		if derr == nil && pulled {
 			p.pulls.Add(1)
 			return true, nil
 		}
 		if derr != nil {
-			if transport.IsUnknownOp(derr) {
-				// The primary predates obj.getdelta: latch the fallback
-				// so this probe happens exactly once per puller.
-				p.deltaUnsupported.Store(true)
-			} else {
-				p.deltaFallbacks.Add(1)
-				p.telemetry().PullerDeltaFallbacks.Inc()
-			}
+			p.deltaFallbacks.Add(1)
+			p.telemetry().PullerDeltaFallbacks.Inc()
 		}
 		// Declines and every delta failure fall through to the full
 		// transfer: a lying primary can at worst cost this round trip.

@@ -2,13 +2,12 @@ package server_test
 
 // End-to-end tests for the Merkle-delta puller path: delta transfers
 // move only changed elements, declines and failures fall back to the
-// full bundle, primaries that predate obj.getdelta latch the fallback
-// after one probe, and the transfer counters surface on telemetry.
+// full bundle (including against a primary without obj.getdelta), and
+// the transfer counters surface on telemetry.
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -181,17 +180,18 @@ func TestPullerDisableDeltaForcesFull(t *testing.T) {
 	}
 }
 
-// TestPullerLatchesWhenPrimaryLacksDelta points a puller at a primary
-// that predates obj.getdelta (a v1-era object server) and checks the
-// unknown-op refusal latches: exactly one probe, then full pulls only.
-func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
+// TestPullerConvergesWhenPrimaryLacksDelta points a puller at a primary
+// that serves no obj.getdelta: every check's delta attempt fails with
+// the transport's unknown-operation refusal, falls back to a full pull
+// like any other delta failure, and the secondary still converges
+// byte-identically on every version.
+func TestPullerConvergesWhenPrimaryLacksDelta(t *testing.T) {
 	w, pub, _ := deltaWorld(t)
 	primary := w.Servers[netsim.AmsterdamPrimary]
+	secondary := w.Servers[netsim.Paris]
 
-	// An old-style primary: version and bundle ops only, delegating to
-	// the genuine server's state. obj.getdelta is answered with the
-	// wire-contract unknown-operation refusal, counted per probe.
-	probes := 0
+	// A primary with version and bundle ops only, delegating to the
+	// genuine server's state.
 	old := transport.NewServer()
 	old.Handle(object.OpVersion, func(body []byte) ([]byte, error) {
 		oid, err := object.DecodeOIDRequest(body)
@@ -217,10 +217,6 @@ func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
 		}
 		return b.Marshal(), nil
 	})
-	old.Handle(server.OpGetDelta, func(body []byte) ([]byte, error) {
-		probes++
-		return nil, errors.New("unknown operation " + server.OpGetDelta)
-	})
 	l, err := w.Net.Listen(netsim.AmsterdamPrimary, "oldsrv")
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +224,7 @@ func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
 	old.Start(l)
 	t.Cleanup(old.Close)
 
-	puller := server.NewPuller(w.Servers[netsim.Paris], pub.OID, "owner:delta.nl",
+	puller := server.NewPuller(secondary, pub.OID, "owner:delta.nl",
 		netsim.AmsterdamPrimary+":oldsrv", w.DialFrom(netsim.Paris), 10*time.Millisecond)
 	t.Cleanup(puller.Stop)
 
@@ -244,14 +240,22 @@ func TestPullerLatchesWhenPrimaryLacksDelta(t *testing.T) {
 		if !pulled {
 			t.Fatalf("CheckOnce %d did not pull", i)
 		}
-	}
-	if probes != 1 {
-		t.Fatalf("obj.getdelta probed %d times, want exactly 1 (latch)", probes)
+		want, err := primary.ExportBundle(pub.OID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := secondary.ExportBundle(pub.OID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("version %d: secondary diverged from the primary", i)
+		}
 	}
 	if puller.FullPulls() != 2 || puller.DeltaPulls() != 0 {
 		t.Fatalf("full=%d delta=%d, want 2 full pulls", puller.FullPulls(), puller.DeltaPulls())
 	}
-	if puller.DeltaFallbacks() != 0 {
-		t.Fatalf("unknown-op probe counted as %d fallbacks, want 0", puller.DeltaFallbacks())
+	if puller.DeltaFallbacks() != 2 {
+		t.Fatalf("delta fallbacks = %d, want 2 (one refused delta per check)", puller.DeltaFallbacks())
 	}
 }

@@ -76,10 +76,19 @@ func startEcho(t *testing.T, wrap func(attempt int, c net.Conn) net.Conn) transp
 	}
 }
 
-// readRequestFrame consumes the client's request frame from the raw
-// server end of a pipe.
+// readRequestFrame accepts the client's v2 preamble on the raw server
+// end of a pipe and consumes its first request frame.
 func readRequestFrame(t *testing.T, conn net.Conn) {
 	t.Helper()
+	pre := make([]byte, 4)
+	if _, err := io.ReadFull(conn, pre); err != nil {
+		t.Errorf("server reading preamble: %v", err)
+		return
+	}
+	if _, err := conn.Write(pre); err != nil { // accept the v2 proposal
+		t.Errorf("server writing accept: %v", err)
+		return
+	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		t.Errorf("server reading request header: %v", err)
@@ -104,7 +113,7 @@ func TestCallErrorPaths(t *testing.T) {
 			misbehave: func(t *testing.T, conn net.Conn) {
 				readRequestFrame(t, conn)
 				var hdr [4]byte
-				binary.BigEndian.PutUint32(hdr[:], transport.MaxFrame+1)
+				binary.BigEndian.PutUint32(hdr[:], 2*transport.MaxFrame)
 				conn.Write(hdr[:])
 			},
 			check: func(t *testing.T, err error) {
@@ -120,7 +129,8 @@ func TestCallErrorPaths(t *testing.T) {
 				var hdr [4]byte
 				binary.BigEndian.PutUint32(hdr[:], 100)
 				conn.Write(hdr[:])
-				conn.Write(make([]byte, 10)) // 90 bytes short
+				// A response header for stream 1, then 84 bytes short.
+				conn.Write([]byte{2, 0, 0, 0, 0, 1, 'p', 'a', 'r', 't'})
 				conn.Close()
 			},
 			check: func(t *testing.T, err error) {
@@ -159,12 +169,7 @@ func TestCallErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clientEnd, serverEnd := net.Pipe()
 			go tc.misbehave(t, serverEnd)
-			// These peers hand-speak raw v1 frames: the client must be
-			// pinned to v1 so it does not open with a negotiation
-			// preamble they would misread as a gigantic length header.
-			cfg := tc.cfg
-			cfg.Version = transport.V1
-			c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).Configure(cfg)
+			c := transport.NewClient(func() (net.Conn, error) { return clientEnd, nil }).Configure(tc.cfg)
 			defer c.Close()
 			_, err := c.Call(context.Background(), "echo", []byte("payload"))
 			if err == nil {

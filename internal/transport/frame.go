@@ -1,11 +1,14 @@
 package transport
 
-// Transport v2: negotiated, stream-multiplexed framing.
+// Wire format: a negotiated, stream-multiplexed framing (version 2).
 //
-// A v2 connection opens with a 4-byte client preamble — the 3-byte magic
+// A connection opens with a 4-byte client preamble — the 3-byte magic
 // "GD\xF2" followed by the highest version the client speaks — answered
 // by a server accept of the same shape carrying the agreed version
-// (never above the proposal). After agreement, every frame is
+// (never above the proposal). This build speaks only v2: its server
+// drops a peer that proposes less, and its client treats an accept below
+// v2 as a permanent version mismatch. The preamble stays so that a later
+// version can still be negotiated. After agreement, every frame is
 //
 //	uint32 length | type byte | flags byte | uint32 streamID | payload
 //
@@ -15,35 +18,26 @@ package transport
 // set: bit 0x01 marks a trace-context extension (17 bytes — trace ID,
 // parent span ID, trace flags) between the frame header and the
 // payload; all other bits are reserved and must be zero.
-//
-// The magic's first byte (0x47) makes the preamble, read as a v1 length
-// header, decode to ~1.2 GiB — far above MaxFrame — so a pre-negotiation
-// v1 server deterministically rejects it and hangs up instead of
-// stalling. The client's fallback path keys on exactly that hangup.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"globedoc/internal/telemetry"
 )
 
-// Protocol versions. V1 is the original length-prefixed one-call-per-
-// connection protocol; V2 adds the negotiated preamble and stream-
-// multiplexed frames.
-const (
-	V1 byte = 1
-	V2 byte = 2
-	// MaxSupportedVersion is the highest version this build speaks.
-	MaxSupportedVersion = V2
-)
+// V2 is the protocol version this build speaks: the negotiated preamble
+// followed by stream-multiplexed frames.
+const V2 byte = 2
 
-// Protocol-violation errors. ErrProtocol marks malformed v2 traffic (a
-// peer breaking framing rules); ErrVersionMismatch means negotiation
-// concluded the peer cannot speak a version the caller requires.
+// versionLabel is V2 as a transport_negotiations_total label.
+const versionLabel = "v2"
+
+// Protocol-violation errors. ErrProtocol marks malformed traffic (a peer
+// breaking framing rules); ErrVersionMismatch means negotiation
+// concluded the peer cannot speak v2.
 var (
 	ErrProtocol        = errors.New("transport: protocol violation")
 	ErrVersionMismatch = errors.New("transport: peer cannot speak required protocol version")
@@ -64,7 +58,7 @@ func clientPreamble(v byte) []byte {
 
 // parsePreamble reports whether b is a well-formed negotiation preamble
 // (or accept) and extracts its version byte. A version of zero is not a
-// valid proposal, so such bytes fall through to v1 framing.
+// valid proposal.
 func parsePreamble(b []byte) (version byte, ok bool) {
 	if len(b) != preambleLen {
 		return 0, false
@@ -72,35 +66,39 @@ func parsePreamble(b []byte) (version byte, ok bool) {
 	if b[0] != preambleMagic[0] || b[1] != preambleMagic[1] || b[2] != preambleMagic[2] {
 		return 0, false
 	}
-	if b[3] < V1 {
+	if b[3] == 0 {
 		return 0, false
 	}
 	return b[3], true
 }
 
-// parseAccept validates a server accept against the client's proposal:
-// it must be a well-formed preamble whose version does not exceed what
-// the client offered.
-func parseAccept(b []byte, proposed byte) (byte, error) {
+// agree is the server's half of negotiation: the version to accept for
+// the client preamble b, or false when b is not a preamble proposing at
+// least v2 and the peer must be dropped. A proposal above v2 (a later
+// client) is answered with v2.
+func agree(b []byte) (byte, bool) {
 	v, ok := parsePreamble(b)
-	if !ok {
-		return 0, fmt.Errorf("%w: malformed negotiation accept % x", ErrProtocol, b)
+	if !ok || v < V2 {
+		return 0, false
 	}
-	if v > proposed {
-		return 0, fmt.Errorf("%w: server accepted version %d above proposal %d", ErrProtocol, v, proposed)
-	}
-	return v, nil
+	return V2, true
 }
 
-// versionLabel renders a version byte as a telemetry label.
-func versionLabel(v byte) string {
-	switch v {
-	case V1:
-		return "v1"
-	case V2:
-		return "v2"
+// parseAccept validates the server's answer to this build's v2
+// proposal. A malformed accept, or one above the proposal, is a protocol
+// violation; an accept below v2 is a permanent version mismatch — no
+// redial can change the peer's answer.
+func parseAccept(b []byte) error {
+	v, ok := parsePreamble(b)
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: malformed negotiation accept % x", ErrProtocol, b)
+	case v > V2:
+		return fmt.Errorf("%w: server accepted version %d above proposal %d", ErrProtocol, v, V2)
+	case v < V2:
+		return Permanent(fmt.Errorf("%w: peer accepted v%d", ErrVersionMismatch, v))
 	}
-	return strconv.Itoa(int(v))
+	return nil
 }
 
 // v2 frame types. Anything else is a protocol violation and drops the

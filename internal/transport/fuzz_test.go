@@ -1,7 +1,7 @@
 package transport
 
-// Fuzz targets for the v2 wire surface an untrusted peer controls: the
-// multiplexed frame decoder and the version-negotiation preamble parser.
+// Fuzz targets for the wire surface an untrusted peer controls: the
+// multiplexed frame decoder and both halves of version negotiation.
 // Both are driven from raw bytes exactly as they arrive off a
 // connection; the properties checked are memory-safety (no panics, no
 // unbounded allocation) and encode/decode round-trip consistency.
@@ -47,6 +47,9 @@ func FuzzFrameDecode(f *testing.F) {
 		[]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0x30}...)) // reserved trace flag bits
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
 	f.Add([]byte("GD\xF2\x02"))           // a preamble is not a frame
+	// A v1 request frame (length | op | body): its envelope starts
+	// where the v2 frame type belongs, so it is an unknown frame type.
+	f.Add([]byte{0, 0, 0, 8, 4, 'e', 'c', 'h', 'o', 1, 'x', 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := readV2Frame(bytes.NewReader(data))
@@ -89,21 +92,22 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 func FuzzVersionNegotiation(f *testing.F) {
-	f.Add([]byte("GD\xF2\x01"), byte(2))
-	f.Add([]byte("GD\xF2\x02"), byte(2))
-	f.Add([]byte("GD\xF2\x00"), byte(2)) // version zero is not negotiable
-	f.Add([]byte("GD\xF3\x02"), byte(2)) // wrong magic
-	f.Add([]byte("GET "), byte(2))       // an HTTP client, say
-	f.Add([]byte{}, byte(1))
-	f.Add([]byte("GD\xF2\x7F"), byte(2)) // accept above proposal
+	f.Add([]byte("GD\xF2\x01")) // a v1 proposal: dropped; as an accept, a mismatch
+	f.Add([]byte("GD\xF2\x02"))
+	f.Add([]byte("GD\xF2\x00")) // version zero is not negotiable
+	f.Add([]byte("GD\xF3\x02")) // wrong magic
+	f.Add([]byte("GET "))       // an HTTP client, say
+	f.Add([]byte{})
+	f.Add([]byte("GD\xF2\x7F")) // a later client's proposal; as an accept, above ours
+	f.Add([]byte{0, 0, 0, 9})   // a v1 length header where the preamble belongs
 
-	f.Fuzz(func(t *testing.T, raw []byte, proposed byte) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		v, ok := parsePreamble(raw)
 		if ok {
 			if len(raw) != preambleLen || raw[0] != preambleMagic[0] || raw[1] != preambleMagic[1] || raw[2] != preambleMagic[2] {
 				t.Fatalf("parsePreamble accepted non-preamble bytes %x", raw)
 			}
-			if v < V1 {
+			if v == 0 {
 				t.Fatalf("parsePreamble accepted invalid version %d", v)
 			}
 			// Round-trip: re-encoding the parsed version reproduces raw.
@@ -111,19 +115,31 @@ func FuzzVersionNegotiation(f *testing.F) {
 				t.Fatalf("preamble round-trip mismatch: %x -> v%d -> %x", raw, v, clientPreamble(v))
 			}
 		}
-		agreed, err := parseAccept(raw, proposed)
-		if err == nil {
-			if !ok {
-				t.Fatalf("parseAccept accepted bytes parsePreamble rejects: %x", raw)
+		// Server half: only a preamble proposing at least v2 is answered,
+		// always with v2, and that answer satisfies our own client.
+		agreed, served := agree(raw)
+		if served {
+			if !ok || v < V2 || agreed != V2 {
+				t.Fatalf("agree(%x) = v%d for a proposal it must drop", raw, agreed)
 			}
-			if agreed > proposed {
-				t.Fatalf("parseAccept agreed on version %d above proposal %d", agreed, proposed)
+			if err := parseAccept(clientPreamble(agreed)); err != nil {
+				t.Fatalf("client rejects the server's own accept v%d: %v", agreed, err)
 			}
-			if agreed < V1 {
-				t.Fatalf("parseAccept agreed on invalid version %d", agreed)
+		} else if ok && v >= V2 {
+			t.Fatalf("agree dropped a well-formed v%d proposal", v)
+		}
+		// Client half: only an exact v2 accept completes negotiation.
+		switch err := parseAccept(raw); {
+		case err == nil:
+			if !ok || v != V2 {
+				t.Fatalf("parseAccept accepted %x", raw)
 			}
-		} else if !errors.Is(err, ErrProtocol) {
-			t.Fatalf("parseAccept(%x, %d) = unexpected error class %v", raw, proposed, err)
+		case ok && v < V2:
+			if !errors.Is(err, ErrVersionMismatch) || Retryable(err) {
+				t.Fatalf("parseAccept(%x) = %v, want a permanent ErrVersionMismatch", raw, err)
+			}
+		case !errors.Is(err, ErrProtocol):
+			t.Fatalf("parseAccept(%x) = unexpected error class %v", raw, err)
 		}
 	})
 }

@@ -1,18 +1,16 @@
 package transport
 
-// Client-side stream multiplexing for transport v2.
+// Client-side stream multiplexing.
 //
-// A muxConn is one negotiated v2 connection carrying many concurrent
-// calls: each call reserves a stream ID, writes one request frame, and
-// parks on a per-stream channel until the connection's read loop
-// delivers the matching response frame. Responses arrive in whatever
-// order the server finishes them, so one slow call never blocks its
-// siblings — the pool's one-call-per-connection rule is replaced by a
-// per-connection stream budget.
+// A muxConn is one negotiated connection carrying many concurrent calls:
+// each call reserves a stream ID, writes one request frame, and parks on
+// a per-stream channel until the connection's read loop delivers the
+// matching response frame. Responses arrive in whatever order the server
+// finishes them, so one slow call never blocks its siblings; a
+// per-connection stream budget bounds how many calls share a conn.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,17 +25,12 @@ import (
 // used when PoolConfig.StreamBudget is zero.
 const DefaultStreamBudget = 32
 
-// errFellBackToV1 is an internal sentinel: dialling for a v2 stream
-// discovered (and latched) that the peer only speaks v1, so the caller
-// must re-route the call through the classic path.
-var errFellBackToV1 = errors.New("transport: peer negotiated down to v1")
-
 type muxResult struct {
 	payload []byte
 	err     error
 }
 
-// muxConn is one negotiated v2 connection shared by many streams.
+// muxConn is one negotiated connection shared by many streams.
 type muxConn struct {
 	c    *Client
 	conn net.Conn
@@ -97,17 +90,18 @@ func (mc *muxConn) fail(err error) {
 	mc.c.muxWake()
 }
 
-// readLoop is the single reader of a v2 connection: it matches response
+// readLoop is the single reader of a connection: it matches response
 // frames to waiting streams by ID. Responses for unknown streams are
 // dropped (the caller timed out first); any read error or protocol
-// violation kills the connection and fails every pending stream. conn
+// violation kills the connection and fails every pending stream with an
+// error wrapping both ErrClosed and the read error. conn
 // is the shutdown handle: closing it (fail, Client.Close) unblocks the
 // read and ends the loop.
 func (mc *muxConn) readLoop(conn net.Conn) {
 	for {
 		f, err := readV2Frame(conn)
 		if err != nil {
-			mc.fail(fmt.Errorf("%w (%v)", ErrClosed, err))
+			mc.fail(fmt.Errorf("%w (%w)", ErrClosed, err))
 			return
 		}
 		if f.Type != frameResponse {
@@ -155,32 +149,22 @@ func (c *Client) attemptMux(ctx context.Context, sc telemetry.SpanContext, op st
 	return resp, reused, err
 }
 
-// acquireStream reserves a stream slot on a v2 connection: it prefers
-// the least-loaded live connection with budget headroom, dials a new
+// acquireStream reserves a stream slot on a connection: it prefers the
+// least-loaded live connection with budget headroom, dials a new
 // connection while the MaxConns bound has headroom, and otherwise
-// blocks until a sibling stream finishes or ctx is cancelled. On
-// discovering a v1-only peer it latches the downgrade and returns
-// errFellBackToV1.
+// blocks until a sibling stream finishes or ctx is cancelled.
 func (c *Client) acquireStream(ctx context.Context) (*muxConn, bool, error) {
 	tel := telemetry.Or(c.Telemetry)
 	budget := c.Pool.streamBudget()
-	c.mu.Lock()
-	c.closed = false // a call after Close reopens the pool, as in v1
-	c.mu.Unlock()
 	c.muxMu.Lock()
 	for {
 		if err := ctx.Err(); err != nil {
 			c.muxMu.Unlock()
 			return nil, false, fmt.Errorf("transport: awaiting stream slot: %w", err)
 		}
-		if c.Version != V2 && byte(c.peerVersion.Load()) == V1 {
-			// A concurrent dial latched the downgrade while we waited.
-			c.muxMu.Unlock()
-			return nil, false, errFellBackToV1
-		}
 		now := c.clock().Now()
 		// Drop dead conns from the list and lazily reap idle ones that
-		// outlived IdleTimeout, exactly like the v1 pool.
+		// outlived IdleTimeout.
 		kept := c.muxConns[:0]
 		var reaped []*muxConn
 		for _, mc := range c.muxConns {
@@ -269,15 +253,15 @@ func (c *Client) acquireStream(ctx context.Context) (*muxConn, bool, error) {
 
 // releaseStream returns a stream slot to its connection. The last
 // stream out closes the conn when a Close-initiated drain is pending,
-// or when idle pooling is disabled (MaxIdle < 0) — the v1 rule that no
-// warm connection outlives its calls.
+// or when idle pooling is disabled (MaxIdle < 0), so that no warm
+// connection outlives its calls.
 func (c *Client) releaseStream(mc *muxConn) {
 	mc.mu.Lock()
 	mc.inflight--
 	if mc.inflight == 0 {
 		mc.idleSince = c.clock().Now()
 	}
-	drained := mc.inflight == 0 && !mc.dead && (mc.draining || c.Pool.maxIdle() == 0)
+	drained := mc.inflight == 0 && !mc.dead && (mc.draining || c.Pool.MaxIdle < 0)
 	if drained {
 		mc.dead = true
 		mc.deadErr = ErrClosed
@@ -290,14 +274,11 @@ func (c *Client) releaseStream(mc *muxConn) {
 	c.muxWake()
 }
 
-// dialMux dials and negotiates one v2 connection. The negotiation
-// exchange is bounded by DialTimeout and ctx — a peer that accepts the
-// connection but never answers the preamble must not hang the caller. A
-// peer that hangs up on the preamble (a pre-negotiation v1 server
-// reading it as an oversized length header) or negotiates down to v1
-// latches the downgrade; any other I/O failure stays an error so a
-// flaky network cannot silently pin the client to v1 — at worst a
-// genuine reset downgrades to v1, which every v2 server still speaks.
+// dialMux dials and negotiates one connection. The negotiation exchange
+// is bounded by DialTimeout and ctx — a peer that accepts the connection
+// but never answers the preamble must not hang the caller. A peer that
+// answers below v2 fails the call permanently (ErrVersionMismatch); one
+// that hangs up or times out fails it like any other transport error.
 func (c *Client) dialMux(ctx context.Context) (*muxConn, error) {
 	tel := telemetry.Or(c.Telemetry)
 	conn, err := c.dialContext(ctx)
@@ -328,49 +309,19 @@ func (c *Client) dialMux(ctx context.Context) (*muxConn, error) {
 		armed = true
 	}
 	stopWatch := watchCancel(ctx, conn)
-	_, werr := conn.Write(clientPreamble(MaxSupportedVersion))
+	_, err = conn.Write(clientPreamble(V2))
 	var accept [preambleLen]byte
-	var rerr error
-	if werr == nil {
-		_, rerr = io.ReadFull(conn, accept[:])
+	if err == nil {
+		_, err = io.ReadFull(conn, accept[:])
 	}
 	stopWatch()
-	if werr != nil || rerr != nil {
-		conn.Close()
-		ioErr := werr
-		if ioErr == nil {
-			ioErr = rerr
-		}
-		if isPeerRejection(ioErr) && ctx.Err() == nil {
-			if c.Version == V2 {
-				return nil, Permanent(fmt.Errorf("%w (peer hung up on the v2 preamble: %v)", ErrVersionMismatch, ioErr))
-			}
-			c.peerVersion.Store(uint32(V1))
-			tel.Negotiations.With("fallback").Inc()
-			return nil, errFellBackToV1
-		}
-		return nil, ctxError(ctx, fmt.Errorf("transport: version negotiation: %w", ioErr))
-	}
-	agreed, err := parseAccept(accept[:], MaxSupportedVersion)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, ctxError(ctx, fmt.Errorf("transport: version negotiation: %w", err))
 	}
-	if agreed < V2 {
-		// A negotiation-aware peer that tops out at v1. The conn now
-		// expects classic frames; close it and re-route — the latch
-		// means only the first contact pays the extra dial. Answering a
-		// well-formed accept proves the peer post-dates the trace
-		// trailer, so traced v1 calls may carry their context to it
-		// (the hangup fallback above latches no such proof).
+	if err := parseAccept(accept[:]); err != nil {
 		conn.Close()
-		tel.Negotiations.With(versionLabel(agreed)).Inc()
-		if c.Version == V2 {
-			return nil, Permanent(fmt.Errorf("%w: peer negotiated v%d", ErrVersionMismatch, agreed))
-		}
-		c.peerVersion.Store(uint32(agreed))
-		c.peerTrailerAware.Store(true)
-		return nil, errFellBackToV1
+		return nil, err
 	}
 	if armed {
 		if err := conn.SetDeadline(time.Time{}); err != nil {
@@ -378,8 +329,7 @@ func (c *Client) dialMux(ctx context.Context) (*muxConn, error) {
 			return nil, fmt.Errorf("transport: clearing negotiation deadline: %w", err)
 		}
 	}
-	c.peerVersion.Store(uint32(agreed))
-	tel.Negotiations.With(versionLabel(agreed)).Inc()
+	tel.Negotiations.With(versionLabel).Inc()
 	tel.PoolConns.Add(1)
 	mc := &muxConn{
 		c:         c,
@@ -389,15 +339,6 @@ func (c *Client) dialMux(ctx context.Context) (*muxConn, error) {
 	}
 	go mc.readLoop(mc.conn)
 	return mc, nil
-}
-
-// isPeerRejection reports whether a negotiation failure looks like a
-// pre-v2 peer tearing the connection down (it read the preamble as an
-// oversized v1 frame) rather than an unreachable network: any I/O error
-// except a deadline expiry. Timeouts stay hard errors — silence is
-// ambiguous and must not latch a downgrade.
-func isPeerRejection(err error) bool {
-	return err != nil && !errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // muxRoundTrip performs one framed exchange on a reserved stream. A
@@ -421,9 +362,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, mc *muxConn, sc telemetry.Spa
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	// v2 carries the trace context in the frame header extension, not
-	// the request envelope — hence the zero sc to encodeRequest.
-	req := encodeRequest(op, body, telemetry.SpanContext{})
+	req := encodeRequest(op, body)
 	mc.wmu.Lock()
 	var werr error
 	if !deadline.IsZero() {

@@ -1,7 +1,7 @@
 package transport_test
 
-// v2 multiplexing semantics: the per-connection stream budget replaces
-// the v1 one-call-per-slot rule, saturation waits honour the caller's
+// Multiplexing semantics: the per-connection stream budget bounds
+// connections, saturation waits honour the caller's
 // context, and a stream that times out abandons only itself — sibling
 // streams and the connection survive (no head-of-line blocking, no
 // poisoned pool).

@@ -15,21 +15,20 @@ const DefaultMaxConns = 4
 
 // PoolConfig bounds a Client's connection pool.
 type PoolConfig struct {
-	// MaxConns bounds how many calls may be in flight at once — each
-	// in-flight call holds one connection. 0 means DefaultMaxConns.
+	// MaxConns bounds how many connections the client holds open to its
+	// server at once. 0 means DefaultMaxConns.
 	MaxConns int
-	// MaxIdle bounds how many warm connections are kept for reuse after
-	// their call returns. 0 means MaxConns; negative disables idle
-	// pooling entirely (every connection closes after its call).
+	// MaxIdle, when negative, disables idle pooling: a connection closes
+	// as soon as its last in-flight stream finishes. Otherwise idle
+	// connections stay open for reuse (within MaxConns).
 	MaxIdle int
 	// IdleTimeout, when positive, discards idle connections that have
 	// sat unused longer than this. Reaping is lazy: a stale conn is
 	// closed when a call would otherwise reuse it.
 	IdleTimeout time.Duration
-	// StreamBudget bounds concurrent streams per negotiated-v2
-	// connection (0 = DefaultStreamBudget). It replaces the v1
-	// one-call-per-connection rule: a v2 client carries up to
-	// MaxConns × StreamBudget calls in flight. Ignored for v1 conns.
+	// StreamBudget bounds concurrent streams (in-flight calls) per
+	// connection (0 = DefaultStreamBudget), so a client carries up to
+	// MaxConns × StreamBudget calls in flight.
 	StreamBudget int
 }
 
@@ -45,108 +44,6 @@ func (p PoolConfig) streamBudget() int {
 		return p.StreamBudget
 	}
 	return DefaultStreamBudget
-}
-
-func (p PoolConfig) maxIdle() int {
-	switch {
-	case p.MaxIdle > 0:
-		return p.MaxIdle
-	case p.MaxIdle < 0:
-		return 0
-	}
-	return p.maxConns()
-}
-
-// idleConn is a warm pooled connection and when it went idle.
-type idleConn struct {
-	conn  net.Conn
-	since time.Time
-}
-
-// acquire checks a connection out of the pool: it first waits for an
-// in-flight slot (bounding concurrent calls at Pool.MaxConns), then
-// reuses the most recently parked idle connection — lazily reaping any
-// that outlived IdleTimeout — or dials a new one. reused reports whether
-// the returned conn served an earlier call.
-func (c *Client) acquire(ctx context.Context) (conn net.Conn, reused bool, err error) {
-	c.mu.Lock()
-	c.closed = false
-	if c.slots == nil {
-		c.slots = make(chan struct{}, c.Pool.maxConns())
-	}
-	slots := c.slots
-	c.mu.Unlock()
-
-	select {
-	case slots <- struct{}{}:
-	default:
-		select {
-		case slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, fmt.Errorf("transport: awaiting connection slot: %w", ctx.Err())
-		}
-	}
-
-	tel := telemetry.Or(c.Telemetry)
-	now := c.clock().Now()
-	c.mu.Lock()
-	for len(c.idle) > 0 {
-		ic := c.idle[len(c.idle)-1]
-		c.idle = c.idle[:len(c.idle)-1]
-		if c.Pool.IdleTimeout > 0 && now.Sub(ic.since) > c.Pool.IdleTimeout {
-			c.mu.Unlock()
-			ic.conn.Close()
-			tel.PoolIdleClosed.Inc()
-			tel.PoolConns.Add(-1)
-			c.mu.Lock()
-			continue
-		}
-		c.mu.Unlock()
-		tel.PoolReuse.Inc()
-		return ic.conn, true, nil
-	}
-	c.mu.Unlock()
-
-	conn, err = c.dialContext(ctx)
-	if err != nil {
-		c.releaseSlot()
-		return nil, false, fmt.Errorf("transport: dial: %w", err)
-	}
-	tel.PoolDials.Inc()
-	tel.PoolConns.Add(1)
-	return conn, false, nil
-}
-
-// release returns a healthy connection to the idle pool (or closes it
-// when the pool is full or the client was closed) and frees its
-// in-flight slot.
-func (c *Client) release(conn net.Conn) {
-	now := c.clock().Now()
-	c.mu.Lock()
-	if !c.closed && len(c.idle) < c.Pool.maxIdle() {
-		c.idle = append(c.idle, idleConn{conn: conn, since: now})
-		c.mu.Unlock()
-		c.releaseSlot()
-		return
-	}
-	c.mu.Unlock()
-	conn.Close()
-	telemetry.Or(c.Telemetry).PoolConns.Add(-1)
-	c.releaseSlot()
-}
-
-// discard closes a broken connection and frees its in-flight slot.
-func (c *Client) discard(conn net.Conn) {
-	conn.Close()
-	telemetry.Or(c.Telemetry).PoolConns.Add(-1)
-	c.releaseSlot()
-}
-
-func (c *Client) releaseSlot() {
-	select {
-	case <-c.slots:
-	default:
-	}
 }
 
 // dialContext runs dial, bounded by DialTimeout and ctx. The underlying
@@ -190,22 +87,11 @@ func (c *Client) dialContext(ctx context.Context) (net.Conn, error) {
 	}
 }
 
-// Close closes every idle pooled connection and marks the client closed:
-// in-flight calls finish, but their connections are closed on return
-// instead of being pooled. Multiplexed conns with streams in flight
-// drain — the last stream to finish closes them. A later Call reopens
-// the pool.
+// Close closes every idle connection and marks busy ones draining: their
+// in-flight calls finish, and the last stream out closes the conn. A
+// later Call reopens the pool.
 func (c *Client) Close() {
-	c.mu.Lock()
-	c.closed = true
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
 	tel := telemetry.Or(c.Telemetry)
-	for _, ic := range idle {
-		ic.conn.Close()
-		tel.PoolConns.Add(-1)
-	}
 	c.muxMu.Lock()
 	mconns := c.muxConns
 	c.muxConns = nil
@@ -231,41 +117,29 @@ func (c *Client) Close() {
 }
 
 // ConnsInUse reports how many connections are currently serving calls —
-// a test and debugging aid. For v1 that is one per in-flight call; a
-// multiplexed conn counts once however many streams it carries.
+// a test and debugging aid. A conn counts once however many streams it
+// carries.
 func (c *Client) ConnsInUse() int {
-	c.mu.Lock()
-	n := 0
-	if c.slots != nil {
-		n = len(c.slots)
-	}
-	c.mu.Unlock()
-	c.muxMu.Lock()
-	for _, mc := range c.muxConns {
-		mc.mu.Lock()
-		if !mc.dead && mc.inflight > 0 {
-			n++
-		}
-		mc.mu.Unlock()
-	}
-	c.muxMu.Unlock()
-	return n
+	return c.countConns(func(inflight int) bool { return inflight > 0 })
 }
 
-// IdleConns reports how many warm connections are parked for reuse:
-// v1 pooled conns plus multiplexed conns with no streams in flight.
+// IdleConns reports how many live connections have no streams in flight.
 func (c *Client) IdleConns() int {
-	c.mu.Lock()
-	n := len(c.idle)
-	c.mu.Unlock()
+	return c.countConns(func(inflight int) bool { return inflight == 0 })
+}
+
+// countConns counts the live connections whose in-flight stream count
+// satisfies match.
+func (c *Client) countConns(match func(inflight int) bool) int {
 	c.muxMu.Lock()
+	defer c.muxMu.Unlock()
+	n := 0
 	for _, mc := range c.muxConns {
 		mc.mu.Lock()
-		if !mc.dead && mc.inflight == 0 {
+		if !mc.dead && match(mc.inflight) {
 			n++
 		}
 		mc.mu.Unlock()
 	}
-	c.muxMu.Unlock()
 	return n
 }

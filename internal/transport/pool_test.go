@@ -68,16 +68,15 @@ func TestPoolReusesIdleConnection(t *testing.T) {
 }
 
 func TestPoolBoundsConcurrentConnections(t *testing.T) {
-	// Handlers park until released so all in-flight calls overlap; the
-	// pool must never open more than MaxConns connections. Pinned to v1
-	// (one call per conn) — the v2 stream budget has its own bounds
-	// test in mux_test.go.
+	// Handlers park until released so all in-flight calls overlap. With a
+	// one-stream budget every call needs a connection of its own, so the
+	// pool must never open more than MaxConns connections; the rest wait
+	// for a stream to free up.
 	release := make(chan struct{})
 	dial, arrived := parkingServer(t, release)
 	cd := &countingDial{dial: dial}
 	c := transport.NewClient(cd.fn())
-	c.Pool = transport.PoolConfig{MaxConns: 3}
-	c.Version = transport.V1
+	c.Pool = transport.PoolConfig{MaxConns: 3, StreamBudget: 1}
 	defer c.Close()
 
 	const calls = 12
@@ -90,9 +89,12 @@ func TestPoolBoundsConcurrentConnections(t *testing.T) {
 			_, errs[i] = c.Call(context.Background(), "park", nil)
 		}(i)
 	}
-	// Let the first wave occupy every slot, then drain.
+	// Let the first wave occupy every stream, then drain.
 	for i := 0; i < 3; i++ {
 		<-arrived
+	}
+	if inUse := c.ConnsInUse(); inUse != 3 {
+		t.Errorf("ConnsInUse = %d with every stream parked, want 3", inUse)
 	}
 	close(release)
 	wg.Wait()
@@ -152,22 +154,19 @@ func TestPoolNegativeMaxIdleDisablesPooling(t *testing.T) {
 }
 
 func TestPoolSlotWaitCancelledByContext(t *testing.T) {
-	// v1 semantics: one call per conn, so with MaxConns=1 a second call
-	// waits for the slot and must honour ctx while waiting. (A v2
-	// client would multiplex the second call onto the same conn; the
-	// stream-saturation wait has its own test in mux_test.go.)
+	// One connection with a one-stream budget: a second call waits for
+	// the slot and must honour ctx while waiting.
 	release := make(chan struct{})
 	defer close(release)
 	dial, arrived := parkingServer(t, release)
 	c := transport.NewClient(dial)
-	c.Pool = transport.PoolConfig{MaxConns: 1}
-	c.Version = transport.V1
+	c.Pool = transport.PoolConfig{MaxConns: 1, StreamBudget: 1}
 	defer c.Close()
 
 	go func() {
 		_, _ = c.Call(context.Background(), "park", nil)
 	}()
-	<-arrived // the parked call owns the only slot
+	<-arrived // the parked call owns the only stream
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -226,9 +225,9 @@ func TestCloseWhileInFlightDoesNotLeakConns(t *testing.T) {
 }
 
 func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
-	// A v1 call that times out poisons its connection (discarded); the
-	// next call must succeed on a fresh conn, and a successful call
-	// must not leave a stale deadline armed on the pooled conn.
+	// A call that times out abandons only its stream: the connection
+	// stays pooled, the next call reuses it, and no deadline armed for
+	// the timed-out call lingers to fail a later one.
 	slow := make(chan struct{})
 	dial := startServer(t, func(s *transport.Server) {
 		s.Handle("slow", func(body []byte) ([]byte, error) {
@@ -237,8 +236,8 @@ func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
 		})
 		s.Handle("ping", func(body []byte) ([]byte, error) { return []byte("pong"), nil })
 	})
-	c := transport.NewClient(dial)
-	c.Version = transport.V1 // v1 arms real conn deadlines; v2 streams never touch read deadlines
+	cd := &countingDial{dial: dial}
+	c := transport.NewClient(cd.fn())
 	defer c.Close()
 	defer close(slow)
 
@@ -247,16 +246,18 @@ func TestPoolConnNotPoisonedAfterContextTimeout(t *testing.T) {
 	if _, err := c.Call(ctx, "slow", nil); err == nil {
 		t.Fatal("slow call under a 30ms ctx succeeded")
 	}
-	// Fresh conn: fast call works.
 	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
-	// Reused pooled conn: still healthy long after the earlier deadline.
-	// This wait must be real time — conn deadlines live in the kernel's
-	// clock, not the injectable one — and only needs to outlast the
-	// 30ms deadline armed above, so it cannot flake, only detect.
+	// Still healthy long after the earlier deadline. This wait must be
+	// real time — conn deadlines live in the kernel's clock, not the
+	// injectable one — and only needs to outlast the 30ms deadline
+	// armed above, so it cannot flake, only detect.
 	time.Sleep(50 * time.Millisecond)
 	if _, err := c.Call(context.Background(), "ping", nil); err != nil {
 		t.Fatalf("reused-conn call: %v", err)
+	}
+	if got := cd.count.Load(); got != 1 {
+		t.Errorf("dialed %d conns, want 1 (a timed-out stream must not discard its conn)", got)
 	}
 }

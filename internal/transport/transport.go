@@ -7,21 +7,22 @@
 // encoded by the callers with package enc, keeping this layer free of any
 // knowledge of the messages it carries.
 //
-// The protocol is intentionally simple: one outstanding call per
-// connection, client-side connection reuse, and a hard frame-size limit
-// as a defence against malicious peers — remember that GlobeDoc clients
-// routinely talk to untrusted servers.
+// A connection opens with a 4-byte version-negotiation preamble (frame.go)
+// and then carries many concurrent calls as stream-multiplexed frames:
+// each call is one request frame answered by one response frame on the
+// same stream ID, in whatever order the server finishes them. A client
+// keeps a small pool of such connections per server, and every frame
+// has a hard size limit as a defence against malicious peers — remember
+// that GlobeDoc clients routinely talk to untrusted servers.
 package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,95 +55,23 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote error from %q: %s", e.Op, e.Message)
 }
 
-// unknownOpPrefix starts the error message a Server returns for an
-// unregistered operation. IsUnknownOp matches on it, so it is part of the
-// wire contract: clients probe for newer operations (e.g. loc.lookup2)
-// and latch a fallback when the peer predates them.
-const unknownOpPrefix = "unknown operation "
-
-// IsUnknownOp reports whether err is a remote refusal for an operation
-// the serving process does not implement — the signal version-probing
-// clients use to fall back to an older wire operation.
-func IsUnknownOp(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && strings.HasPrefix(re.Message, unknownOpPrefix)
-}
-
-// writeFrame sends a length-prefixed payload with a single Write call, so
-// the network simulator charges one latency per frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	_, err := w.Write(frame)
-	return err
-}
-
-// readFrame receives one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return readFrameBody(r, hdr[:])
-}
-
-// readFrameBody receives the payload of a v1 frame whose 4-byte length
-// header has already been consumed — the server peeks the first bytes
-// of every connection to detect the v2 negotiation preamble and hands
-// the header here when the peer turned out to speak v1.
-func readFrameBody(r io.Reader, hdr []byte) ([]byte, error) {
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// encodeRequest encodes a v1 request envelope. A valid sc is appended
-// as a fixed-width trailing trace-context extension (trace ID, parent
-// span ID, trace flags) after the body — v2 carries the same context in
-// the frame header instead, so v2 requests pass the zero sc here.
-func encodeRequest(op string, body []byte, sc telemetry.SpanContext) []byte {
-	w := enc.NewWriter(16 + len(op) + len(body) + traceExtLen)
+// encodeRequest encodes a request envelope: operation name and body.
+// The trace context travels in the frame header, not here.
+func encodeRequest(op string, body []byte) []byte {
+	w := enc.NewWriter(16 + len(op) + len(body))
 	w.String(op)
 	w.BytesPrefixed(body)
-	if sc.Valid() {
-		w.Uint64(sc.TraceID)
-		w.Uint64(sc.SpanID)
-		var tf byte
-		if sc.Sampled {
-			tf = traceFlagSampled
-		}
-		w.Byte(tf)
-	}
 	return w.Bytes()
 }
 
-func decodeRequest(payload []byte) (op string, body []byte, sc telemetry.SpanContext, err error) {
+func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	r := enc.NewReader(payload)
 	op = r.String()
 	body = r.BytesPrefixed()
-	if r.Err() == nil && r.Remaining() == traceExtLen {
-		// Optional trace-context trailer from a tracing v1 peer.
-		sc.TraceID = r.Uint64()
-		sc.SpanID = r.Uint64()
-		sc.Sampled = r.Byte()&traceFlagSampled != 0
-	}
 	if err := r.Finish(); err != nil {
-		return "", nil, telemetry.SpanContext{}, err
+		return "", nil, err
 	}
-	if sc != (telemetry.SpanContext{}) && !sc.Valid() {
-		return "", nil, telemetry.SpanContext{}, fmt.Errorf("request %q carries trace context with zero trace or span ID", op)
-	}
-	return op, body, sc, nil
+	return op, body, nil
 }
 
 func encodeResponse(body []byte, callErr error) []byte {
@@ -183,7 +112,7 @@ type Handler func(body []byte) ([]byte, error)
 // trace.
 type HandlerCtx func(ctx context.Context, body []byte) ([]byte, error)
 
-// DefaultServerStreams bounds concurrently executing handlers per v2
+// DefaultServerStreams bounds concurrently executing handlers per
 // connection when Server.StreamLimit is zero.
 const DefaultServerStreams = 64
 
@@ -192,21 +121,11 @@ type Server struct {
 	// IdleTimeout, when positive, bounds how long a connection may sit
 	// between frames (and how long a response write may take) before the
 	// server drops it — a defence against stalled or half-dead peers
-	// pinning goroutines forever. A v2 connection with streams in flight
-	// is not idle: the timer only runs while no handler is active. Set
+	// pinning goroutines forever. A connection with streams in flight is
+	// not idle: the timer only runs while no handler is active. Set
 	// before Serve.
 	IdleTimeout time.Duration
-	// MaxVersion caps the protocol version the server will negotiate
-	// (0 = MaxSupportedVersion). V1 yields a negotiation-aware server
-	// that still refuses multiplexing. Set before Serve.
-	MaxVersion byte
-	// DisableNegotiation makes the server behave like a pre-v2 build:
-	// the preamble is read as an oversized v1 length header and the
-	// connection dropped. Compatibility tests use it to stand in for old
-	// deployments. Set before Serve.
-	DisableNegotiation bool
-	// StreamLimit bounds concurrently executing handlers per v2
-	// connection (0 = DefaultServerStreams); excess frames wait in the
+	// StreamLimit bounds concurrently executing handlers per connection (0 = DefaultServerStreams); excess frames wait in the
 	// read loop, applying backpressure. Set before Serve.
 	StreamLimit int
 	// Telemetry records per-operation serve counts and spans; nil falls
@@ -258,8 +177,8 @@ func (s *Server) Ops() []string {
 }
 
 // Serve accepts connections on l until l is closed or the server is shut
-// down. Each connection is served on its own goroutine; calls on a
-// connection are processed sequentially.
+// down. Each connection is served on its own goroutine, and each call on
+// a connection runs on a goroutine of its own (bounded by StreamLimit).
 func (s *Server) Serve(l net.Listener) error {
 	s.listeners.Store(l, struct{}{})
 	defer s.listeners.Delete(l)
@@ -292,18 +211,10 @@ func (s *Server) clock() clock.Clock {
 	return clock.Real
 }
 
-// maxVersion returns the highest protocol version this server will
-// agree to.
-func (s *Server) maxVersion() byte {
-	if s.MaxVersion >= V1 {
-		return s.MaxVersion
-	}
-	return MaxSupportedVersion
-}
-
-// serveConn peeks the connection's first four bytes: a negotiation
-// preamble selects the agreed protocol version, anything else is the
-// length header of a classic v1 frame.
+// serveConn reads the peer's negotiation preamble and serves the
+// connection at the agreed version. A peer that does not open with a
+// preamble proposing at least v2 — a v1 length header, stray bytes, a v1
+// proposal — is dropped without an answer.
 func (s *Server) serveConn(conn net.Conn) {
 	s.conns.Store(conn, struct{}{})
 	defer s.conns.Delete(conn)
@@ -315,63 +226,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	var pre [preambleLen]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil {
 		return
 	}
-	if !s.DisableNegotiation {
-		if proposed, ok := parsePreamble(hdr[:]); ok {
-			agreed := s.maxVersion()
-			if proposed < agreed {
-				agreed = proposed
-			}
-			if _, err := conn.Write(clientPreamble(agreed)); err != nil {
-				return
-			}
-			telemetry.Or(s.Telemetry).Negotiations.With(versionLabel(agreed)).Inc()
-			if agreed >= V2 {
-				s.serveV2(conn)
-			} else {
-				s.serveV1(conn, nil)
-			}
-			return
-		}
+	agreed, ok := agree(pre[:])
+	if !ok {
+		return
 	}
-	s.serveV1(conn, hdr[:])
-}
-
-// serveV1 runs the classic one-call-at-a-time loop. preread, when
-// non-nil, is the already-consumed length header of the first frame.
-func (s *Server) serveV1(conn net.Conn, preread []byte) {
-	for {
-		var payload []byte
-		var err error
-		if preread != nil {
-			// The idle deadline for this first frame was armed before
-			// the header was peeked.
-			payload, err = readFrameBody(conn, preread)
-			preread = nil
-		} else {
-			if s.IdleTimeout > 0 {
-				if derr := conn.SetDeadline(s.clock().Now().Add(s.IdleTimeout)); derr != nil {
-					return
-				}
-			}
-			payload, err = readFrame(conn)
-		}
-		if err != nil {
-			return
-		}
-		resp := s.dispatch(payload, telemetry.SpanContext{})
-		if s.IdleTimeout > 0 {
-			if derr := conn.SetDeadline(s.clock().Now().Add(s.IdleTimeout)); derr != nil {
-				return
-			}
-		}
-		if werr := writeFrame(conn, resp); werr != nil {
-			return
-		}
+	if _, err := conn.Write(clientPreamble(agreed)); err != nil {
+		return
 	}
+	telemetry.Or(s.Telemetry).Negotiations.With(versionLabel).Inc()
+	s.serveV2(conn)
 }
 
 // serveV2 runs the multiplexed loop: each request frame is handled on
@@ -447,24 +314,19 @@ func (s *Server) serveV2(conn net.Conn) {
 }
 
 // dispatch decodes one request payload, runs its handler and returns
-// the encoded response. Shared by the v1 loop and every v2 stream.
-// frameTrace is the span context a v2 frame header carried (the zero
-// value for v1, whose context rides in the request envelope instead);
-// either way, a valid incoming context is adopted so the rpc.serve span
-// — and every handler span under it — exports with the caller's trace
-// ID.
-func (s *Server) dispatch(payload []byte, frameTrace telemetry.SpanContext) []byte {
-	op, body, sc, err := decodeRequest(payload)
-	if frameTrace.Valid() {
-		sc = frameTrace
-	}
+// the encoded response. sc is the span context the request frame's
+// header carried (the zero value when untraced); a valid one is adopted
+// so the rpc.serve span — and every handler span under it — exports with
+// the caller's trace ID.
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) []byte {
+	op, body, err := decodeRequest(payload)
 	var respBody []byte
 	if err == nil {
 		s.mu.RLock()
 		h, ok := s.handlers[op]
 		s.mu.RUnlock()
 		if !ok {
-			err = fmt.Errorf("%s%q", unknownOpPrefix, op)
+			err = fmt.Errorf("unknown operation %q", op)
 		} else {
 			s.Requests.Add(1)
 			tel := telemetry.Or(s.Telemetry)
@@ -510,11 +372,11 @@ func (s *Server) Close() {
 // plain net.Dial both fit this shape.
 type DialFunc func() (net.Conn, error)
 
-// Client issues calls to one server over a bounded pool of connections.
-// Each call checks a connection out of the pool (reusing an idle one or
-// dialling), performs one framed exchange on it, and returns it. Calls
-// from different goroutines therefore proceed in parallel up to the
-// pool's connection bound instead of serialising on a single conn.
+// Client issues calls to one server over a bounded pool of multiplexed
+// connections (mux.go). Each call reserves a stream on the least-loaded
+// connection with headroom, dialling a new one while the pool has room,
+// so calls from different goroutines proceed in parallel instead of
+// serialising on a single conn.
 type Client struct {
 	dial DialFunc
 
@@ -539,12 +401,6 @@ type Client struct {
 	// checks (nil = real clock). Tests inject a fake so deadline and
 	// reaping behaviour replays deterministically.
 	Clock clock.Clock
-	// Version pins the wire protocol: 0 negotiates on first contact
-	// (preferring v2, falling back to v1 against pre-negotiation
-	// servers), V1 forces classic framing with no preamble, V2 refuses
-	// peers that cannot speak v2. The negotiation outcome is latched for
-	// the client's lifetime. Set before the first call.
-	Version byte
 	// Addr, when set, is the contact address this client dials, used
 	// purely as the telemetry key for per-address replica health: every
 	// call attempt records a success (with its RTT) or failure sample
@@ -552,24 +408,11 @@ type Client struct {
 	// recording. Set before the first call.
 	Addr string
 
-	mu     sync.Mutex
-	slots  chan struct{} // in-flight call permits; cap latched on first use
-	idle   []idleConn    // LIFO stack of warm connections
-	closed bool          // set by Close; cleared by the next acquire
-
-	// v2 multiplexing state (see mux.go).
-	peerVersion atomic.Uint32 // latched negotiation outcome (0 = unknown)
-	// peerTrailerAware latches that the v1 peer is positively known to
-	// tolerate the trace-context request-envelope trailer: only a
-	// negotiation-aware server capped at v1 proves it (it answered a
-	// well-formed accept, so it post-dates the trailer). A pre-v2 peer's
-	// decoder rejects trailing envelope bytes, so without this proof a
-	// traced v1 call drops its context at the process boundary instead.
-	peerTrailerAware atomic.Bool
-	muxMu            sync.Mutex
-	muxConns         []*muxConn    // live negotiated-v2 connections
-	muxDialing       int           // dials in flight, counted against MaxConns
-	muxNotify        chan struct{} // closed+replaced when stream capacity frees up
+	// Multiplexing state (see mux.go).
+	muxMu      sync.Mutex
+	muxConns   []*muxConn    // live connections
+	muxDialing int           // dials in flight, counted against MaxConns
+	muxNotify  chan struct{} // closed+replaced when stream capacity frees up
 
 	// BytesSent and BytesReceived count frame payload bytes, used by the
 	// benchmark harness to report protocol overhead.
@@ -595,7 +438,6 @@ func (c *Client) Configure(cfg Config) *Client {
 	c.Retry = cfg.Retry
 	c.Telemetry = cfg.Telemetry
 	c.Pool = cfg.Pool
-	c.Version = cfg.Version
 	if cfg.Addr != "" {
 		// An empty cfg.Addr preserves an address set at construction
 		// (object.NewClient knows it; a shared Config does not).
@@ -615,19 +457,16 @@ type Config struct {
 	Retry       *RetryPolicy
 	Telemetry   *telemetry.Telemetry
 	Pool        PoolConfig
-	// Version pins the wire protocol (see Client.Version): 0 negotiates
-	// preferring v2, V1 forces classic framing, V2 requires v2.
-	Version byte
 	// Addr labels health samples with the peer's contact address (see
 	// Client.Addr). Empty leaves any address set at construction.
 	Addr string
 }
 
 // Call sends op with body and waits for the response. ctx cancellation
-// aborts slot acquisition, dialling and the in-flight exchange (the
-// connection is closed rather than returned to the pool). With a
+// aborts the stream-slot wait, dialling and the in-flight exchange (the
+// stream is abandoned; its connection stays up for sibling calls). With a
 // RetryPolicy configured it retries transient failures with backoff;
-// otherwise it retries once when the failure hit a reused pooled
+// otherwise it retries once when the failure hit an already-open
 // connection. Every call is recorded as one rpc.call span (annotated
 // with the attempt count) and one rpc_calls_total{op,outcome} increment;
 // extra attempts also count into rpc_retries_total. When ctx carries a
@@ -658,7 +497,7 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	}
 	run := func() ([]byte, bool, error) {
 		start := c.clock().Now()
-		resp, reused, err := c.attempt(ctx, wire, op, body)
+		resp, reused, err := c.attemptMux(ctx, wire, op, body)
 		switch {
 		case err == nil:
 			tel.Health.RecordSuccess(c.Addr, c.clock().Now().Sub(start))
@@ -717,93 +556,6 @@ func (c *Client) Call(ctx context.Context, op string, body []byte) ([]byte, erro
 	return resp, nil
 }
 
-// attempt routes one call attempt to the negotiated protocol: v2
-// multiplexed streams by default, classic v1 framing when pinned or
-// when negotiation latched a v1-only peer. A fallback discovered
-// mid-dial re-routes the same attempt through the v1 path. sc is the
-// trace context to propagate (frame extension on v2, envelope trailer
-// on v1) — but the trailer is only emitted toward a peer that latched
-// peerTrailerAware: a genuinely old server's decoder rejects trailing
-// envelope bytes, so against one (or a pinned-V1 peer of unknown
-// vintage) the trace ends at the process boundary instead of failing
-// every traced call.
-func (c *Client) attempt(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	if !c.useV1() {
-		resp, reused, err = c.attemptMux(ctx, sc, op, body)
-		if !errors.Is(err, errFellBackToV1) {
-			return resp, reused, err
-		}
-	}
-	if !c.peerTrailerAware.Load() {
-		sc = telemetry.SpanContext{}
-	}
-	return c.attemptV1(ctx, sc, op, body)
-}
-
-// useV1 reports whether calls must speak classic v1 framing: either the
-// client is pinned to V1, or auto-negotiation already learned the peer
-// cannot speak v2.
-func (c *Client) useV1() bool {
-	if c.Version == V1 {
-		return true
-	}
-	return c.Version != V2 && byte(c.peerVersion.Load()) == V1
-}
-
-// attemptV1 performs one complete v1 call attempt: check a connection
-// out of the pool (dialling if necessary), exchange one frame pair, and
-// return the connection. Transport-level failures discard the
-// connection so a retry dials fresh; remote errors keep it warm. reused
-// reports whether the attempt ran on a pooled (possibly stale)
-// connection.
-func (c *Client) attemptV1(ctx context.Context, sc telemetry.SpanContext, op string, body []byte) (resp []byte, reused bool, err error) {
-	conn, reused, err := c.acquire(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err = c.exchange(ctx, conn, sc, op, body)
-	if err != nil && Retryable(err) {
-		// The stream is broken or in an unknown state (includes a
-		// malformed, possibly corrupted, response): drop the conn.
-		c.discard(conn)
-		return nil, reused, err
-	}
-	c.release(conn)
-	return resp, reused, err
-}
-
-// exchange runs one framed request/response on conn, bounded by the
-// tighter of CallTimeout and ctx's deadline; ctx cancellation force-fails
-// the in-flight I/O.
-func (c *Client) exchange(ctx context.Context, conn net.Conn, sc telemetry.SpanContext, op string, body []byte) ([]byte, error) {
-	armed, err := c.armDeadline(ctx, conn)
-	if err != nil {
-		return nil, ctxError(ctx, fmt.Errorf("transport: arming deadline for %q: %w", op, err))
-	}
-	stopWatch := watchCancel(ctx, conn)
-	req := encodeRequest(op, body, sc)
-	if err := writeFrame(conn, req); err != nil {
-		stopWatch()
-		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, err))
-	}
-	c.BytesSent.Add(uint64(len(req)) + 4)
-	payload, err := readFrame(conn)
-	stopWatch()
-	if err != nil {
-		return nil, ctxError(ctx, fmt.Errorf("transport: receive %q: %w", op, err))
-	}
-	c.BytesReceived.Add(uint64(len(payload)) + 4)
-	if armed {
-		// A conn whose deadline cannot be cleared must not be pooled:
-		// the stale deadline would poison the next call on it. The
-		// error is retryable, so attempt discards the conn.
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return nil, fmt.Errorf("transport: clearing deadline after %q: %w", op, err)
-		}
-	}
-	return decodeResponse(op, payload)
-}
-
 // clock returns the client's time source.
 func (c *Client) clock() clock.Clock {
 	if c.Clock != nil {
@@ -812,29 +564,10 @@ func (c *Client) clock() clock.Clock {
 	return clock.Real
 }
 
-// armDeadline sets conn's deadline to the tighter of CallTimeout and
-// ctx's deadline, reporting whether any deadline was armed.
-func (c *Client) armDeadline(ctx context.Context, conn net.Conn) (bool, error) {
-	var deadline time.Time
-	if c.CallTimeout > 0 {
-		deadline = c.clock().Now().Add(c.CallTimeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if deadline.IsZero() {
-		return false, nil
-	}
-	if err := conn.SetDeadline(deadline); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // watchCancel force-expires conn's deadline when ctx is cancelled, so a
 // blocked read or write returns promptly. The returned stop function
-// must be called before conn is reused or pooled; it waits for the
-// watcher to exit so no late SetDeadline can poison a pooled conn.
+// must be called before conn is used further; it waits for the watcher
+// to exit so no late SetDeadline can poison the conn.
 func watchCancel(ctx context.Context, conn net.Conn) (stop func()) {
 	done := ctx.Done()
 	if done == nil {
