@@ -1,17 +1,18 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test test-short lint fuzz-smoke chaos perfbench \
+.PHONY: check vet build test test-short lint fuzz-smoke bench-smoke chaos perfbench \
 	telemetry-smoke trace-smoke concurrent-smoke bench-concurrent \
 	bench-cache bench-multiplex bench-trace bench-placement bench-delta
 
 ## check: the tier-1 gate — vet, lint, build, race-enabled tests, the
-## benchmark module's vet and tests, fuzz smoke, the concurrent race
+## benchmark module's vet and tests, fuzz smoke, the package benchmark
+## smoke with the data-path allocation gate, the concurrent race
 ## smoke, the end-to-end telemetry and distributed-tracing smokes, the
 ## verified-content-cache acceptance bench, the multiplexed-transport
 ## acceptance bench, the tracing-cost ablation, the sharded-fleet
 ## replica-selection bench, and the Merkle-delta replication bench.
-check: vet lint build test perfbench fuzz-smoke concurrent-smoke telemetry-smoke trace-smoke bench-cache bench-multiplex bench-trace bench-placement bench-delta
+check: vet lint build test perfbench fuzz-smoke bench-smoke concurrent-smoke telemetry-smoke trace-smoke bench-cache bench-multiplex bench-trace bench-placement bench-delta
 
 ## vet: the stock vet suite plus the two checks most relevant to the
 ## serving path, run explicitly so a vet default change cannot drop them.
@@ -54,6 +55,14 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode$$ -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzVersionNegotiation$$ -fuzztime=$(FUZZTIME) ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaDecode$$ -fuzztime=$(FUZZTIME) ./internal/server/
+
+## bench-smoke: run every package benchmark on the serve and receive
+## path once, so they cannot rot unrun, then the allocation gate (a
+## GetElement round trip allocates <= 1.2x the element's size; it skips
+## under -race, so `test` alone never runs it with the race detector on).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/server ./internal/transport ./internal/object
+	$(GO) test -count=1 -run '^TestGetElementAllocGate$$' ./internal/object
 
 ## chaos: the seeded fault-injection suite (SEED overrides the schedule)
 ## plus the fleet degradation scenario (a bound replica dies mid-run and

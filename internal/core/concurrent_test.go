@@ -17,7 +17,9 @@ import (
 	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
+	"globedoc/internal/globeid"
 	"globedoc/internal/keys/keytest"
+	"globedoc/internal/location"
 	"globedoc/internal/netsim"
 	"globedoc/internal/server"
 	"globedoc/internal/telemetry"
@@ -74,9 +76,20 @@ func concurrentWorld(t *testing.T) (*deploy.World, *deploy.Publication, *telemet
 
 func TestConcurrentColdBurstSingleflight(t *testing.T) {
 	w, pub, tel := concurrentWorld(t)
-	client, err := w.NewSecureClientOpts(netsim.Paris, core.Options{
+	const workers = 16
+	// The leader's location lookup is held until every worker has missed
+	// the binding cache. The flight stays registered while the leader is
+	// held, so each of them joins it — none can arrive late enough to
+	// find the binding warm, however the scheduler runs them.
+	binder := w.NewBinder(netsim.Paris)
+	missesBefore := tel.BindingCacheMisses.Value()
+	binder.Locator = gatedLocator{binder.Locator, func() bool {
+		return tel.BindingCacheMisses.Value()-missesBefore >= workers
+	}}
+	client, err := core.NewClient(binder, core.Options{
 		CacheBindings: true,
 		PoolSize:      16,
+		Telemetry:     tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +97,6 @@ func TestConcurrentColdBurstSingleflight(t *testing.T) {
 	t.Cleanup(client.Close)
 
 	runsBefore := tel.PipelineRuns.Value()
-	const workers = 16
 	var wg sync.WaitGroup
 	results := make([]core.FetchResult, workers)
 	errs := make([]error, workers)
@@ -121,6 +133,21 @@ func TestConcurrentColdBurstSingleflight(t *testing.T) {
 	if cold != 1 {
 		t.Errorf("%d workers report a cold unshared binding, want exactly 1 (the leader)", cold)
 	}
+}
+
+// gatedLocator holds each lookup until open reports true, polling for
+// up to ten seconds; after that the lookup proceeds and the caller's
+// assertions report what went wrong.
+type gatedLocator struct {
+	location.Resolver
+	open func() bool
+}
+
+func (g gatedLocator) Lookup(ctx context.Context, fromSite string, oid globeid.OID) (location.LookupResult, error) {
+	for deadline := time.Now().Add(10 * time.Second); !g.open() && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return g.Resolver.Lookup(ctx, fromSite, oid)
 }
 
 func TestDisableSingleflightRunsEveryPipeline(t *testing.T) {

@@ -644,6 +644,9 @@ func (c *Client) fetchAttempt(ctx context.Context, p *pipeline, oid globeid.OID,
 			return bound{}, FetchResult{}, err
 		}
 		b.vb, b.shared = vb, shared
+		// The certificate arrived after the first reading: check its
+		// validity against the clock as it is now.
+		now = c.now()
 	}
 	res, err := c.fetchElement(ctx, p, b, element, now, prefetch{})
 	if err != nil {
@@ -1102,6 +1105,7 @@ func (c *Client) fetchAll(ctx context.Context, p *pipeline, oid globeid.OID) ([]
 			return nil, err
 		}
 		b.vb, b.shared = vb, shared
+		now = c.now() // as in fetchAttempt: the certificate is newer than the first reading
 	}
 	if !b.warm && !b.shared && !c.cacheBindings {
 		defer b.vb.client.Close()

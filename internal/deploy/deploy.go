@@ -77,7 +77,8 @@ type Options struct {
 	// their own algorithm per publish. Defaults to Ed25519.
 	KeyAlgorithm keys.Algorithm
 	// Clock, if non-nil, replaces time.Now for certificate issuance in
-	// the naming authority.
+	// the naming authority and for the validity checks of every naming
+	// resolver this world builds.
 	Clock func() time.Time
 	// Client carries the transport robustness knobs — dial/call timeouts
 	// and retry policy — applied to every naming, location and object
@@ -207,8 +208,12 @@ func (w *World) DialFrom(host string) object.DialTo {
 
 // NewResolver returns a verifying naming resolver for a client at host.
 func (w *World) NewResolver(host string) *naming.Resolver {
-	return naming.NewResolver(w.Net.Dialer(host, w.NamingAddr), w.NamingAuthority.RootKey()).
+	r := naming.NewResolver(w.Net.Dialer(host, w.NamingAddr), w.NamingAuthority.RootKey()).
 		Configure(w.opts.Client)
+	if w.opts.Clock != nil {
+		r.Now = w.opts.Clock
+	}
+	return r
 }
 
 // NewLocationClient returns a location-service client for a client at

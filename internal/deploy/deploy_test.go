@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"globedoc/internal/core"
 	"globedoc/internal/deploy"
 	"globedoc/internal/document"
 	"globedoc/internal/keys/keytest"
@@ -153,5 +154,47 @@ func TestDuplicateServerSite(t *testing.T) {
 	}
 	if _, err := w.StartServer(netsim.Paris, "b", nil, nil, server.Limits{}); err == nil {
 		t.Fatal("second server on same site/service succeeded")
+	}
+}
+
+// TestWorldClockReachesResolvers runs a world on a clock twenty years
+// behind the wall clock: the naming records its authority signs on that
+// clock must verify in the world's resolvers, so a secure fetch by name
+// completes.
+func TestWorldClockReachesResolvers(t *testing.T) {
+	past := time.Now().AddDate(-20, 0, 0)
+	clock := func() time.Time { return past }
+	w, err := deploy.NewWorld(deploy.Options{TimeScale: 0, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if _, err := w.StartServer(netsim.AmsterdamPrimary, "srv", nil, nil, server.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := w.Publish(simpleDoc(t, "then"), deploy.PublishOptions{
+		Name: "past.nl", OwnerKey: keytest.RSA(), Clock: clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	r := w.NewResolver(netsim.Paris)
+	defer r.Close()
+	oid, err := r.Resolve(ctx, "past.nl")
+	if err != nil || oid != pub.OID {
+		t.Fatalf("Resolve = %v, %v; want %v", oid, err, pub.OID)
+	}
+	c, err := w.NewSecureClientOpts(netsim.Paris, core.Options{Now: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	res, err := c.FetchNamed(ctx, "past.nl", "index.html")
+	if err != nil {
+		t.Fatalf("FetchNamed: %v", err)
+	}
+	if string(res.Element.Data) != "then" {
+		t.Fatalf("fetched %q, want %q", res.Element.Data, "then")
 	}
 }

@@ -114,13 +114,19 @@ func EncodeElement(e document.Element) []byte {
 	return w.Bytes()
 }
 
-// DecodeElement decodes an element from the wire.
+// DecodeElement decodes an element from the wire. The returned Data
+// aliases body — it is a sub-slice, clipped so an append cannot write
+// into the bytes after it — so the caller must not reuse body while the
+// element is live. Transport receive buffers are fresh per frame, which
+// makes a reply safe to decode in place; vcache.Put copies what it
+// keeps.
 func DecodeElement(body []byte) (document.Element, error) {
 	r := enc.NewReader(body)
 	var e document.Element
 	e.Name = r.String()
 	e.ContentType = r.String()
-	e.Data = append([]byte(nil), r.BytesPrefixed()...)
+	data := r.BytesPrefixed()
+	e.Data = data[:len(data):len(data)]
 	if err := r.Finish(); err != nil {
 		return document.Element{}, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}

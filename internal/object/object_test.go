@@ -3,6 +3,7 @@ package object_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -112,10 +113,18 @@ func TestCertListRoundTrip(t *testing.T) {
 // clientFixture serves one real document and returns a connected Client.
 func clientFixture(t *testing.T) (*object.Client, globeid.OID) {
 	t.Helper()
+	return serveElement(t, []byte("served"))
+}
+
+// serveElement serves a document whose index.html holds data from an
+// in-process object server over netsim at zero latency, and returns a
+// Client connected to it.
+func serveElement(t testing.TB, data []byte) (*object.Client, globeid.OID) {
+	t.Helper()
 	owner := keytest.Ed()
 	oid := binderTestOID(owner)
 	doc := document.New()
-	doc.Put(document.Element{Name: "index.html", Data: []byte("served")})
+	doc.Put(document.Element{Name: "index.html", Data: data})
 	t0 := time.Now()
 	icert, err := document.IssueCertificate(doc, oid, owner, t0, document.UniformTTL(time.Hour))
 	if err != nil {
@@ -140,6 +149,59 @@ func clientFixture(t *testing.T) (*object.Client, globeid.OID) {
 		n.Dialer(netsim.Paris, netsim.AmsterdamPrimary+":objsvc"))
 	t.Cleanup(c.Close)
 	return c, oid
+}
+
+// BenchmarkGetElementRoundTrip64K measures one GetElement round trip of
+// a 64 KB element, counting the server's allocations as well as the
+// client's.
+func BenchmarkGetElementRoundTrip64K(b *testing.B) {
+	data := bytes.Repeat([]byte{0x5a}, 64<<10)
+	c, _ := serveElement(b, data)
+	ctx := context.Background()
+	if e, err := c.GetElement(ctx, "index.html"); err != nil || !bytes.Equal(e.Data, data) {
+		b.Fatalf("GetElement = %d bytes, %v", len(e.Data), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := c.GetElement(ctx, "index.html")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkElement = e
+	}
+}
+
+var sinkElement document.Element
+
+// TestGetElementAllocGate pins the data path's copy budget: a served
+// element is copied into a pooled send buffer (no allocation) and
+// received into one fresh frame buffer it is then decoded in place
+// from, so a round trip allocates about the element's size once — 72 KB
+// of whole pages for the 64 KB element's frame, plus ~2 KB of envelope,
+// span and stream bookkeeping. An extra payload copy would double it.
+//
+// The gate runs at GOMAXPROCS 1 so it counts copies, not scheduling: a
+// buffer Put back on another P's private slot is invisible to the next
+// Get, and this tiny heap is collected every ~50 calls, each collection
+// dropping idle pooled buffers, so with more Ps a varying few percent
+// of calls refill a send buffer.
+func TestGetElementAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate runs a benchmark")
+	}
+	if raceEnabled {
+		t.Skip("allocation gate does not hold under -race")
+	}
+	const size = 64 << 10 // BenchmarkGetElementRoundTrip64K's element
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := testing.Benchmark(BenchmarkGetElementRoundTrip64K)
+	if r.N == 0 {
+		t.Fatal("benchmark did not run")
+	}
+	if got, limit := r.AllocedBytesPerOp(), int64(size*12/10); got > limit {
+		t.Fatalf("GetElement of a %d-byte element allocates %d B/op, want <= %d (1.2x)", size, got, limit)
+	}
 }
 
 func TestClientAccessors(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"globedoc/internal/telemetry"
 )
@@ -152,11 +153,28 @@ func parseTraceExt(ext []byte) telemetry.SpanContext {
 	}
 }
 
-// writeV2Frame sends one v2 frame with a single Write call, so the
-// network simulator charges one latency per frame. A valid f.Trace is
-// written as the trace-context extension with flagTrace set.
-func writeV2Frame(w io.Writer, f v2Frame) error {
-	if len(f.Payload) > MaxFrame {
+// sendBufs recycles the buffers frames are assembled in. A buffer is
+// back in the pool as soon as Write returns: a net.Conn write completes
+// (or fails) before returning and keeps no reference to its argument.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledSendBuf bounds the send buffers kept for reuse, so one large
+// element does not pin its frame-sized buffer in the pool.
+const maxPooledSendBuf = 1 << 20
+
+// writeV2Frame sends one v2 frame whose payload is f.Payload followed by
+// body. Callers pass an envelope head as f.Payload and a body they own
+// separately, so the body is copied once — into a pooled send buffer —
+// and never assembled into an envelope first. The frame goes out in a
+// single Write: netsim's fault injection makes its drop, corrupt and
+// stall decisions per Write, so a seeded fault schedule replays only if
+// every frame is exactly one Write (link latency, by contrast, is
+// charged once per direction turnaround, however many Writes it spans).
+// A valid f.Trace is written as the trace-context extension with
+// flagTrace set.
+func writeV2Frame(w io.Writer, f v2Frame, body []byte) error {
+	payloadLen := len(f.Payload) + len(body)
+	if payloadLen > MaxFrame {
 		return ErrFrameTooLarge
 	}
 	ext := 0
@@ -164,19 +182,32 @@ func writeV2Frame(w io.Writer, f v2Frame) error {
 		f.Flags |= flagTrace
 		ext = traceExtLen
 	}
-	buf := make([]byte, 0, 4+v2FrameOverhead+ext+len(f.Payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(v2FrameOverhead+ext+len(f.Payload)))
+	n := 4 + v2FrameOverhead + ext + payloadLen
+	bp := sendBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n-4))
 	buf = append(buf, f.Type, f.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, f.StreamID)
 	if ext > 0 {
 		buf = appendTraceExt(buf, f.Trace)
 	}
 	buf = append(buf, f.Payload...)
+	buf = append(buf, body...)
 	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledSendBuf {
+		*bp = buf[:0]
+		sendBufs.Put(bp)
+	}
 	return err
 }
 
-// readV2Frame receives and validates one v2 frame.
+// readV2Frame receives and validates one v2 frame. Every frame gets a
+// fresh buffer that is never pooled: decoded replies, and the element
+// data decoded in place from them, alias it for as long as the caller
+// keeps them.
 func readV2Frame(r io.Reader) (v2Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

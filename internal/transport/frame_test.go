@@ -57,7 +57,7 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 				t.Fatalf("payload = %d bytes, want %d", len(f.Payload), tc.payload)
 			}
 			// Every accepted frame must re-encode.
-			if err := writeV2Frame(io.Discard, f); err != nil {
+			if err := writeV2Frame(io.Discard, f, nil); err != nil {
 				t.Fatalf("re-encoding accepted frame: %v", err)
 			}
 		})
@@ -71,5 +71,35 @@ func TestParseV2FramePayloadBound(t *testing.T) {
 	wire.Write(body)
 	if _, err := readV2Frame(&wire); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("readV2Frame err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestPooledSendBufferHasNoStaleTail writes a large frame and then a
+// small one through the shared send-buffer pool: the small frame must
+// decode byte-exactly, with nothing of the large frame's bytes behind it.
+func TestPooledSendBufferHasNoStaleTail(t *testing.T) {
+	big := bytes.Repeat([]byte{0xEE}, 100<<10)
+	small := []byte("0123456789")
+	for i, payload := range [][]byte{big, small} {
+		var wire bytes.Buffer
+		head := appendResponseHead(nil, len(payload), nil)
+		if err := writeV2Frame(&wire, v2Frame{Type: frameResponse, StreamID: uint32(i + 1), Payload: head}, payload); err != nil {
+			t.Fatal(err)
+		}
+		if want := 4 + v2FrameOverhead + len(head) + len(payload); wire.Len() != want {
+			t.Fatalf("frame %d is %d bytes on the wire, want %d", i, wire.Len(), want)
+		}
+		f, err := readV2Frame(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := decodeResponse("op", f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.StreamID != uint32(i+1) || !bytes.Equal(body, payload) {
+			t.Fatalf("frame %d decoded as stream %d with %d-byte body, want stream %d with %d bytes",
+				i, f.StreamID, len(body), i+1, len(payload))
+		}
 	}
 }

@@ -21,14 +21,23 @@ func FuzzFrameDecode(f *testing.F) {
 	// truncated header, unknown type, reserved flags, huge length.
 	ok := func(t byte, id uint32, payload []byte) []byte {
 		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload}); err != nil {
+		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload}, nil); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	okTraced := func(t byte, id uint32, payload []byte, sc telemetry.SpanContext) []byte {
 		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload, Trace: sc}); err != nil {
+		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: payload, Trace: sc}, nil); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// split sends an envelope head and its body as the two halves of one
+	// frame, the way the server and the mux write them.
+	split := func(t byte, id uint32, head, body []byte, sc telemetry.SpanContext) []byte {
+		var buf bytes.Buffer
+		if err := writeV2Frame(&buf, v2Frame{Type: t, StreamID: id, Payload: head, Trace: sc}, body); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -37,6 +46,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(ok(frameResponse, 0xFFFFFFFF, nil))
 	f.Add(okTraced(frameRequest, 7, []byte("traced"), telemetry.SpanContext{TraceID: 42, SpanID: 43, Sampled: true}))
 	f.Add(okTraced(frameRequest, 8, nil, telemetry.SpanContext{TraceID: 1, SpanID: 1}))
+	elem := bytes.Repeat([]byte("element "), 40)
+	f.Add(split(frameRequest, 2, appendRequestHead(nil, "obj.getelement", 5), []byte("index"), telemetry.SpanContext{}))
+	f.Add(split(frameResponse, 2, appendResponseHead(nil, len(elem), nil), elem, telemetry.SpanContext{}))
+	f.Add(split(frameResponse, 3, appendResponseHead(nil, 0, errors.New("no such element")), nil, telemetry.SpanContext{}))
+	f.Add(split(frameRequest, 9, appendRequestHead(nil, "obj.getcert", 3), []byte{1, 2, 3}, telemetry.SpanContext{TraceID: 5, SpanID: 6, Sampled: true}))
 	f.Add([]byte{0, 0, 0, 3, 1, 0, 0})                                           // length below header size
 	f.Add([]byte{0, 0, 0, 6, 9, 0, 0, 0, 0, 1})                                  // unknown frame type
 	f.Add([]byte{0, 0, 0, 6, 1, 0x80, 0, 0, 0, 1})                               // reserved flags set
@@ -80,13 +94,18 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("accepted %d-byte payload above MaxFrame", len(fr.Payload))
 		}
 		// ...and round-trip: re-encoding reproduces the consumed bytes.
-		var buf bytes.Buffer
-		if err := writeV2Frame(&buf, fr); err != nil {
-			t.Fatalf("re-encoding accepted frame: %v", err)
-		}
+		// Splitting the payload into a head and a body, as the senders
+		// do, must not change a byte.
 		consumed := 4 + binary.BigEndian.Uint32(data[:4])
-		if !bytes.Equal(buf.Bytes(), data[:consumed]) {
-			t.Fatalf("round-trip mismatch:\n in %x\nout %x", data[:consumed], buf.Bytes())
+		for _, cut := range []int{0, len(fr.Payload) / 2, len(fr.Payload)} {
+			head := v2Frame{Type: fr.Type, Flags: fr.Flags, StreamID: fr.StreamID, Payload: fr.Payload[:cut], Trace: fr.Trace}
+			var buf bytes.Buffer
+			if err := writeV2Frame(&buf, head, fr.Payload[cut:]); err != nil {
+				t.Fatalf("re-encoding accepted frame split at %d: %v", cut, err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:consumed]) {
+				t.Fatalf("round-trip mismatch split at %d:\n in %x\nout %x", cut, data[:consumed], buf.Bytes())
+			}
 		}
 	})
 }

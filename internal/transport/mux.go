@@ -362,14 +362,15 @@ func (c *Client) muxRoundTrip(ctx context.Context, mc *muxConn, sc telemetry.Spa
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	req := encodeRequest(op, body)
+	var hb [64]byte
+	head := appendRequestHead(hb[:0], op, len(body))
 	mc.wmu.Lock()
 	var werr error
 	if !deadline.IsZero() {
 		werr = mc.conn.SetWriteDeadline(deadline)
 	}
 	if werr == nil {
-		werr = writeV2Frame(mc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: req, Trace: sc})
+		werr = writeV2Frame(mc.conn, v2Frame{Type: frameRequest, StreamID: id, Payload: head, Trace: sc}, body)
 	}
 	if werr == nil && !deadline.IsZero() {
 		werr = mc.conn.SetWriteDeadline(time.Time{})
@@ -382,7 +383,7 @@ func (c *Client) muxRoundTrip(ctx context.Context, mc *muxConn, sc telemetry.Spa
 		mc.fail(fmt.Errorf("%w (send failed: %v)", ErrClosed, werr))
 		return nil, ctxError(ctx, fmt.Errorf("transport: send %q: %w", op, werr))
 	}
-	c.BytesSent.Add(uint64(len(req)) + 4 + v2FrameOverhead)
+	c.BytesSent.Add(uint64(len(head)+len(body)) + 4 + v2FrameOverhead)
 
 	var timeout <-chan time.Time
 	if c.CallTimeout > 0 {

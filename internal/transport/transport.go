@@ -18,6 +18,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -55,13 +56,20 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote error from %q: %s", e.Op, e.Message)
 }
 
-// encodeRequest encodes a request envelope: operation name and body.
-// The trace context travels in the frame header, not here.
-func encodeRequest(op string, body []byte) []byte {
-	w := enc.NewWriter(16 + len(op) + len(body))
-	w.String(op)
-	w.BytesPrefixed(body)
-	return w.Bytes()
+// The request envelope is the operation name then the length-prefixed
+// body; the response envelope is a status byte, an error message and the
+// length-prefixed body — all in package enc's encoding (a string or byte
+// string is its uvarint length then its bytes). Senders encode only the
+// head, up to and including the body's length prefix; writeV2Frame
+// appends the body itself in the same frame. The trace context travels
+// in the frame header, not here.
+
+// appendRequestHead appends the head of a request envelope for op
+// carrying a body of bodyLen bytes.
+func appendRequestHead(dst []byte, op string, bodyLen int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(op)))
+	dst = append(dst, op...)
+	return binary.AppendUvarint(dst, uint64(bodyLen))
 }
 
 func decodeRequest(payload []byte) (op string, body []byte, err error) {
@@ -74,18 +82,19 @@ func decodeRequest(payload []byte) (op string, body []byte, err error) {
 	return op, body, nil
 }
 
-func encodeResponse(body []byte, callErr error) []byte {
-	w := enc.NewWriter(16 + len(body))
+// appendResponseHead appends the head of a response envelope: success
+// with a body of bodyLen bytes, or, when callErr is set, a failure
+// carrying its message and an empty body.
+func appendResponseHead(dst []byte, bodyLen int, callErr error) []byte {
 	if callErr != nil {
-		w.Byte(1)
-		w.String(callErr.Error())
-		w.BytesPrefixed(nil)
-	} else {
-		w.Byte(0)
-		w.String("")
-		w.BytesPrefixed(body)
+		msg := callErr.Error()
+		dst = append(dst, 1)
+		dst = binary.AppendUvarint(dst, uint64(len(msg)))
+		dst = append(dst, msg...)
+		return append(dst, 0)
 	}
-	return w.Bytes()
+	dst = append(dst, 0, 0)
+	return binary.AppendUvarint(dst, uint64(bodyLen))
 }
 
 func decodeResponse(op string, payload []byte) ([]byte, error) {
@@ -289,14 +298,16 @@ func (s *Server) serveV2(conn net.Conn) {
 		wg.Add(1)
 		go func(f v2Frame) {
 			defer wg.Done()
-			resp := s.dispatch(f.Payload, f.Trace)
+			body, herr := s.dispatch(f.Payload, f.Trace)
+			var hb [32]byte
+			head := appendResponseHead(hb[:0], len(body), herr)
 			wmu.Lock()
 			var werr error
 			if s.IdleTimeout > 0 {
 				werr = conn.SetWriteDeadline(s.clock().Now().Add(s.IdleTimeout))
 			}
 			if werr == nil {
-				werr = writeV2Frame(conn, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: resp})
+				werr = writeV2Frame(conn, v2Frame{Type: frameResponse, StreamID: f.StreamID, Payload: head}, body)
 			}
 			wmu.Unlock()
 			if active.Add(-1) == 0 && s.IdleTimeout > 0 && werr == nil {
@@ -314,42 +325,42 @@ func (s *Server) serveV2(conn net.Conn) {
 }
 
 // dispatch decodes one request payload, runs its handler and returns
-// the encoded response. sc is the span context the request frame's
-// header carried (the zero value when untraced); a valid one is adopted
-// so the rpc.serve span — and every handler span under it — exports with
-// the caller's trace ID.
-func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) []byte {
+// the response body, or the error to report in its place. The body is
+// sent as is, so a handler may return its precomputed wire bytes. sc is
+// the span context the request frame's header carried (the zero value
+// when untraced); a valid one is adopted so the rpc.serve span — and
+// every handler span under it — exports with the caller's trace ID.
+func (s *Server) dispatch(payload []byte, sc telemetry.SpanContext) ([]byte, error) {
 	op, body, err := decodeRequest(payload)
-	var respBody []byte
-	if err == nil {
-		s.mu.RLock()
-		h, ok := s.handlers[op]
-		s.mu.RUnlock()
-		if !ok {
-			err = fmt.Errorf("unknown operation %q", op)
-		} else {
-			s.Requests.Add(1)
-			tel := telemetry.Or(s.Telemetry)
-			sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
-			sp.Annotate("op", op)
-			if sc.Valid() {
-				// The parent span lives in the calling process: mark the
-				// boundary for the trace renderer.
-				sp.Annotate("remote", "true")
-			}
-			//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
-			ctx := telemetry.ContextWith(context.Background(), sp.Context())
-			respBody, err = h(ctx, body)
-			outcome := "ok"
-			if err != nil {
-				outcome = "error"
-			}
-			sp.Annotate("outcome", outcome)
-			sp.End()
-			tel.RPCServed.With(op, outcome).Inc()
-		}
+	if err != nil {
+		return nil, err
 	}
-	return encodeResponse(respBody, err)
+	s.mu.RLock()
+	h, ok := s.handlers[op]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown operation %q", op)
+	}
+	s.Requests.Add(1)
+	tel := telemetry.Or(s.Telemetry)
+	sp := tel.Tracer.StartSpanFrom("rpc.serve", sc)
+	sp.Annotate("op", op)
+	if sc.Valid() {
+		// The parent span lives in the calling process: mark the
+		// boundary for the trace renderer.
+		sp.Annotate("remote", "true")
+	}
+	//lint:ignore ctxfirst the server is this process's request-tree root: there is no upstream ctx to inherit, and cancellation arrives as connection teardown, not ctx propagation
+	ctx := telemetry.ContextWith(context.Background(), sp.Context())
+	resp, err := h(ctx, body)
+	outcome := "ok"
+	if err != nil {
+		resp, outcome = nil, "error"
+	}
+	sp.Annotate("outcome", outcome)
+	sp.End()
+	tel.RPCServed.With(op, outcome).Inc()
+	return resp, err
 }
 
 // Close stops accepting connections on all listeners passed to Serve,
